@@ -19,9 +19,11 @@
 //! Both encodings, the tolerated edge cases, and the divergences from
 //! drat-trim are specified in `docs/FORMATS.md`.
 
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
+use std::hash::BuildHasher;
 use std::io::{self, Write};
 use std::time::Instant;
 
@@ -288,10 +290,12 @@ pub fn parse_drat_text(bytes: &[u8]) -> Result<DratProof, ParseDratError> {
             if token == "%" {
                 break 'outer;
             }
-            let value: i32 = token.parse().map_err(|_| ParseDratError::BadToken {
-                line,
-                token: token.into(),
-            })?;
+            // i32::MIN names no variable
+            let value = token
+                .parse::<i32>()
+                .ok()
+                .filter(|&v| v != i32::MIN)
+                .ok_or_else(|| ParseDratError::BadToken { line, token: token.into() })?;
             let (kind, lits, start) =
                 current.get_or_insert((DratStepKind::Add, Vec::new(), line));
             if value == 0 {
@@ -341,6 +345,9 @@ fn decode_drat_lit(bytes: &[u8], pos: &mut usize) -> Result<Lit, ParseDratError>
 /// See [`parse_drat`]; errors carry the byte offset of the fault.
 pub fn parse_drat_binary(bytes: &[u8]) -> Result<DratProof, ParseDratError> {
     let mut steps = Vec::new();
+    // one scratch buffer for every step; each clause is then allocated
+    // once, at its exact size
+    let mut lits = Vec::new();
     let mut pos = 0usize;
     while pos < bytes.len() {
         let step_start = pos;
@@ -350,7 +357,7 @@ pub fn parse_drat_binary(bytes: &[u8]) -> Result<DratProof, ParseDratError> {
             byte => return Err(ParseDratError::BadPrefix { offset: pos, byte }),
         };
         pos += 1;
-        let mut lits = Vec::new();
+        lits.clear();
         loop {
             if pos >= bytes.len() {
                 return Err(ParseDratError::UnexpectedEof { offset: pos });
@@ -361,7 +368,7 @@ pub fn parse_drat_binary(bytes: &[u8]) -> Result<DratProof, ParseDratError> {
             }
             lits.push(decode_drat_lit(bytes, &mut pos)?);
         }
-        steps.push(DratStep { kind, clause: Clause::new(lits), position: step_start });
+        steps.push(DratStep { kind, clause: Clause::from_lits(&lits), position: step_start });
     }
     Ok(DratProof::new(steps))
 }
@@ -608,17 +615,189 @@ pub fn trim_drat(proof: &DratProof, verification: &DratVerification) -> DratProo
     DratProof::new(steps)
 }
 
-/// Replay hints recorded for one checked addition step.
-enum StepHints {
-    /// Never checked (unmarked): no hints.
-    Unchecked,
-    /// RUP: the unit-propagation cone, in trail order, conflict last.
-    Rup(Vec<ClauseRef>),
-    /// The clause is tautological — vacuously implied, no hints.
-    Tautology,
-    /// RAT: one `(candidate, cone)` group per live ¬pivot clause.
-    Rat(Vec<(ClauseRef, Vec<ClauseRef>)>),
+// ---------------------------------------------------------------------
+// Deletion index
+// ---------------------------------------------------------------------
+
+/// End of a bucket chain.
+const NIL: u32 = u32::MAX;
+
+/// The live clauses by content, for resolving DRAT's content-addressed
+/// deletions without allocating or hashing a `Vec` per step.
+///
+/// A clause's key is an order-independent multiset hash of its literal
+/// codes: the wrapping sum of one keyed mix per literal, so permuted
+/// copies share a key and a duplicated literal counts twice. The key is
+/// drawn once per index from [`RandomState`], so a proof cannot be
+/// crafted to pile its clauses into one bucket. Each bucket chains its
+/// clauses most recent first, and a lookup confirms a candidate by an
+/// exact compare of the sorted literal codes: a hash collision is never
+/// taken for a match, and [`DeletionIndex::remove`] finds the most
+/// recently inserted live copy — the rule `docs/FORMATS.md` specifies.
+#[derive(Debug)]
+pub struct DeletionIndex {
+    key: u64,
+    /// bucket → the most recently inserted clause in it, or `NIL`
+    heads: Vec<u32>,
+    /// clause → the next older clause in its bucket, or `NIL`
+    next: Vec<u32>,
+    /// clause → its multiset hash
+    hashes: Vec<u64>,
+    len: usize,
+    /// scratch: the sorted codes of the clause looked up
+    wanted: Vec<u32>,
+    /// scratch: the sorted codes of a candidate
+    probe: Vec<u32>,
 }
+
+impl DeletionIndex {
+    /// An empty index with room for `clauses` clauses before it grows.
+    #[must_use]
+    pub fn with_capacity(clauses: usize) -> Self {
+        DeletionIndex {
+            key: RandomState::new().hash_one(0x5eed_u64),
+            heads: vec![NIL; clauses.max(16).next_power_of_two()],
+            next: Vec::with_capacity(clauses),
+            hashes: Vec::with_capacity(clauses),
+            len: 0,
+            wanted: Vec::new(),
+            probe: Vec::new(),
+        }
+    }
+
+    /// Number of clauses indexed.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no clause is indexed.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Indexes clause `r`, whose literals are `lits`. Clauses are
+    /// inserted in increasing ref order — a clause store's insertion
+    /// order — each at most once.
+    pub fn insert(&mut self, r: ClauseRef, lits: &[Lit]) {
+        let i = r.index();
+        assert!(i >= self.next.len(), "clauses are inserted in increasing ref order");
+        assert!(i < NIL as usize, "clause index {i} is the chain end marker");
+        if self.len == self.heads.len() {
+            self.grow();
+        }
+        let hash = self.hash(lits);
+        let b = self.bucket(hash);
+        self.next.resize(i + 1, NIL);
+        self.hashes.resize(i + 1, 0);
+        self.next[i] = self.heads[b];
+        self.hashes[i] = hash;
+        self.heads[b] = i as u32;
+        self.len += 1;
+    }
+
+    /// Removes and returns the most recently inserted indexed clause
+    /// whose literals equal `lits` as a multiset (in any order, with the
+    /// same number of copies of each literal), or `None` when none does.
+    /// `lits_of` gives an indexed clause's literals.
+    pub fn remove<'s>(
+        &mut self,
+        lits: &[Lit],
+        lits_of: impl Fn(ClauseRef) -> &'s [Lit],
+    ) -> Option<ClauseRef> {
+        let hash = self.hash(lits);
+        let b = self.bucket(hash);
+        self.wanted.clear();
+        let mut prev = NIL;
+        let mut cur = self.heads[b];
+        while cur != NIL {
+            let i = cur as usize;
+            let r = ClauseRef::from_index(i);
+            if self.hashes[i] == hash && self.same_multiset(lits, lits_of(r)) {
+                if prev == NIL {
+                    self.heads[b] = self.next[i];
+                } else {
+                    self.next[prev as usize] = self.next[i];
+                }
+                self.len -= 1;
+                return Some(r);
+            }
+            prev = cur;
+            cur = self.next[i];
+        }
+        None
+    }
+
+    /// Whether `candidate` holds the literals of `lits`, each as often.
+    /// A deletion usually lists them in the order they were added, which
+    /// settles it without sorting; otherwise the sorted codes of `lits`
+    /// (computed once per lookup, `lits` being non-empty here) are
+    /// compared with the candidate's.
+    fn same_multiset(&mut self, lits: &[Lit], candidate: &[Lit]) -> bool {
+        if candidate == lits {
+            return true;
+        }
+        if candidate.len() != lits.len() {
+            return false;
+        }
+        if self.wanted.is_empty() {
+            sort_codes(&mut self.wanted, lits);
+        }
+        sort_codes(&mut self.probe, candidate);
+        self.probe == self.wanted
+    }
+
+    fn hash(&self, lits: &[Lit]) -> u64 {
+        lits.iter()
+            .fold(0u64, |h, l| h.wrapping_add(mix(u64::from(l.code()) ^ self.key)))
+    }
+
+    fn bucket(&self, hash: u64) -> usize {
+        hash as usize & (self.heads.len() - 1)
+    }
+
+    /// Doubles the bucket count. Each chain splits in two with its order
+    /// kept, so every chain stays most recent first.
+    fn grow(&mut self) {
+        let size = self.heads.len() * 2;
+        let old = std::mem::replace(&mut self.heads, vec![NIL; size]);
+        let mut tails = vec![NIL; size];
+        for head in old {
+            let mut cur = head;
+            while cur != NIL {
+                let i = cur as usize;
+                let next = self.next[i];
+                let b = self.bucket(self.hashes[i]);
+                self.next[i] = NIL;
+                match tails[b] {
+                    NIL => self.heads[b] = cur,
+                    tail => self.next[tail as usize] = cur,
+                }
+                tails[b] = cur;
+                cur = next;
+            }
+        }
+    }
+}
+
+fn sort_codes(out: &mut Vec<u32>, lits: &[Lit]) {
+    out.clear();
+    out.extend(lits.iter().map(|l| l.code()));
+    out.sort_unstable();
+}
+
+/// SplitMix64's finaliser: a bijection on `u64` whose every output bit
+/// depends on every input bit.
+fn mix(mut x: u64) -> u64 {
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
+// ---------------------------------------------------------------------
+// The backward pass
+// ---------------------------------------------------------------------
 
 enum SubCheck {
     Conflict(Conflict),
@@ -627,16 +806,30 @@ enum SubCheck {
     Interrupted(Stopped),
 }
 
-enum RatResult {
-    Holds(Vec<(ClauseRef, Vec<ClauseRef>)>),
-    Fails,
+/// Whether a checked addition is implied (RUP or RAT).
+enum Implied {
+    Yes,
+    No,
     Interrupted(Stopped),
 }
 
-fn content_key(lits: &[Lit]) -> Vec<u32> {
-    let mut key: Vec<u32> = lits.iter().map(|l| l.code()).collect();
-    key.sort_unstable();
-    key
+/// A clause's LRAT id: dense insertion order, from 1.
+fn lrat_id(r: ClauseRef) -> u64 {
+    r.index() as u64 + 1
+}
+
+/// The RAT candidate lists: for each literal, every clause ever added
+/// that contains it, in ascending ref order (liveness is filtered at
+/// use, and a literal a clause repeats lists it again).
+fn occurrences<S: ClauseStore>(db: &S, num_lits: usize) -> Vec<Vec<ClauseRef>> {
+    let mut occ = vec![Vec::new(); num_lits];
+    for i in 0..db.len() {
+        let r = ClauseRef::from_index(i);
+        for &l in db.lits(r) {
+            occ[l.idx()].push(r);
+        }
+    }
+    occ
 }
 
 struct BackwardChecker<'a, P: Propagator> {
@@ -647,16 +840,23 @@ struct BackwardChecker<'a, P: Propagator> {
     add_refs: Vec<ClauseRef>,
     /// resolved target of each deletion step (in proof order)
     delete_refs: Vec<ClauseRef>,
-    /// unit clauses (ref, literal); liveness via `db.is_deleted`
-    units: Vec<(ClauseRef, Lit)>,
+    /// the live unit clauses, by ref: each check enqueues them in this
+    /// order
+    units: BTreeMap<ClauseRef, Lit>,
     empties: Vec<ClauseRef>,
-    /// occurrence lists over every clause ever added (liveness is
-    /// filtered at use) — needed to enumerate RAT candidates
-    occ: Vec<Vec<ClauseRef>>,
+    /// occurrence lists over every clause ever added, to enumerate RAT
+    /// candidates; built by the first RAT check
+    occ: Option<Vec<Vec<ClauseRef>>>,
     marked: Vec<bool>,
     seen: Vec<bool>,
-    hints: Vec<StepHints>,
+    /// LRAT hints of each checked addition step (in proof order)
+    hints: Vec<Option<Vec<i64>>>,
     num_original: usize,
+    // scratch reused across steps
+    touched: Vec<Var>,
+    assumed: Vec<Lit>,
+    step_hints: Vec<i64>,
+    candidates: Vec<ClauseRef>,
 }
 
 impl<'a, P: Propagator> BackwardChecker<'a, P> {
@@ -664,80 +864,68 @@ impl<'a, P: Propagator> BackwardChecker<'a, P> {
         let num_vars = formula
             .num_vars()
             .max(proof.max_var().map_or(0, |v| v.idx() + 1));
-        let mut db = P::Store::new();
-        let mut prop = P::new(num_vars);
-        let mut units = Vec::new();
-        let mut empties = Vec::new();
-        let mut occ = vec![Vec::new(); 2 * num_vars];
-        // content → stack of live refs, most recent last (deletions
-        // match the most recently added live copy)
-        let mut live: HashMap<Vec<u32>, Vec<ClauseRef>> = HashMap::new();
-
-        let attach = |db: &mut P::Store,
-                          prop: &mut P,
-                          units: &mut Vec<(ClauseRef, Lit)>,
-                          empties: &mut Vec<ClauseRef>,
-                          r: ClauseRef| {
-            match prop.attach_clause(db, r) {
-                Attach::Watched => {}
-                Attach::Unit(l) => units.push((r, l)),
-                Attach::Empty => empties.push(r),
-            }
+        let num_adds = proof.num_adds();
+        let mut checker = BackwardChecker {
+            proof,
+            db: P::Store::new(),
+            prop: P::new(num_vars),
+            add_refs: Vec::with_capacity(num_adds),
+            delete_refs: Vec::with_capacity(proof.steps().len() - num_adds),
+            units: BTreeMap::new(),
+            empties: Vec::new(),
+            occ: None,
+            marked: Vec::new(),
+            seen: vec![false; num_vars],
+            hints: vec![None; num_adds],
+            num_original: formula.num_clauses(),
+            touched: Vec::new(),
+            assumed: Vec::new(),
+            step_hints: Vec::new(),
+            candidates: Vec::new(),
         };
-
+        // Store and index every clause, resolve every deletion, then
+        // attach the clauses live at the end of the proof in ref order:
+        // the watch lists come out exactly as attaching each clause when
+        // added and detaching it when deleted would leave them.
+        let mut index = DeletionIndex::with_capacity(formula.num_clauses() + num_adds);
         for clause in formula.iter() {
-            let r = db.add_clause(clause.lits(), false);
-            attach(&mut db, &mut prop, &mut units, &mut empties, r);
-            for &l in clause.lits() {
-                occ[l.idx()].push(r);
-            }
-            live.entry(content_key(clause.lits())).or_default().push(r);
+            let r = checker.db.add_clause(clause.lits(), false);
+            index.insert(r, clause.lits());
         }
-        let mut add_refs = Vec::new();
-        let mut delete_refs = Vec::new();
         for step in proof.steps() {
             match step.kind {
                 DratStepKind::Add => {
-                    let r = db.add_clause(step.clause.lits(), true);
-                    attach(&mut db, &mut prop, &mut units, &mut empties, r);
-                    for &l in step.clause.lits() {
-                        occ[l.idx()].push(r);
-                    }
-                    live.entry(content_key(step.clause.lits())).or_default().push(r);
-                    add_refs.push(r);
+                    let r = checker.db.add_clause(step.clause.lits(), true);
+                    index.insert(r, step.clause.lits());
+                    checker.add_refs.push(r);
                 }
                 DratStepKind::Delete => {
-                    let key = content_key(step.clause.lits());
-                    let Some(r) = live.get_mut(&key).and_then(Vec::pop) else {
+                    let db = &checker.db;
+                    let Some(r) = index.remove(step.clause.lits(), |r| db.lits(r)) else {
                         return Err(DratError::DeleteMissing {
                             position: step.position,
                             clause: step.clause.clone(),
                         });
                     };
-                    // detach eagerly so the backward-walk re-attach
-                    // cannot duplicate watch entries
-                    prop.detach_clause(&db, r);
-                    db.delete_clause(r);
-                    delete_refs.push(r);
+                    checker.db.delete_clause(r);
+                    checker.delete_refs.push(r);
                 }
             }
         }
-        let marked = vec![false; db.len()];
-        let num_adds = add_refs.len();
-        Ok(BackwardChecker {
-            proof,
-            db,
-            prop,
-            add_refs,
-            delete_refs,
-            units,
-            empties,
-            occ,
-            marked,
-            seen: vec![false; num_vars],
-            hints: (0..num_adds).map(|_| StepHints::Unchecked).collect(),
-            num_original: formula.num_clauses(),
-        })
+        for i in 0..checker.db.len() {
+            let r = ClauseRef::from_index(i);
+            if checker.db.clause_len(r) == 0 {
+                // empty clauses are found by a scan; liveness is checked
+                // at use
+                checker.empties.push(r);
+            } else if !checker.db.is_deleted(r) {
+                if let Attach::Unit(l) = checker.prop.attach_clause(&mut checker.db, r) {
+                    checker.units.insert(r, l);
+                }
+            }
+        }
+        checker.marked = vec![false; checker.db.len()];
+        Ok(checker)
     }
 
     fn run(mut self, harness: &Harness) -> DratOutcome {
@@ -794,8 +982,7 @@ impl<'a, P: Propagator> BackwardChecker<'a, P> {
         if let Some(last) = trailing_empty {
             // keep the claim itself in the trimmed proof and LRAT
             self.marked[last.index()] = true;
-            *self.hints.last_mut().expect("trailing add exists") =
-                StepHints::Rup(terminal_hints.clone());
+            *self.hints.last_mut().expect("trailing add exists") = Some(terminal_hints.clone());
         }
 
         // Walk the steps backward.
@@ -809,17 +996,26 @@ impl<'a, P: Propagator> BackwardChecker<'a, P> {
                     delete_index -= 1;
                     let r = self.delete_refs[delete_index];
                     self.db.undelete_clause(r);
-                    if self.db.clause_len(r) >= 2 {
-                        self.prop.attach_clause(&mut self.db, r);
+                    match *self.db.lits(r) {
+                        [] => {}
+                        [unit] => {
+                            self.units.insert(r, unit);
+                        }
+                        _ => {
+                            self.prop.attach_clause(&mut self.db, r);
+                        }
                     }
                 }
                 DratStepKind::Add => {
                     add_index -= 1;
                     let r = self.add_refs[add_index];
-                    // deactivate the clause being checked
+                    // deactivate the clause being checked. It is never
+                    // resurrected, so its watch entries may go lazily:
+                    // both engines drop a deleted clause's entry without
+                    // visiting it.
                     if !self.db.is_deleted(r) {
-                        self.prop.detach_clause(&self.db, r);
                         self.db.delete_clause(r);
+                        self.units.remove(&r);
                     }
                     let is_trailing_empty =
                         step.clause.is_empty() && add_index == self.add_refs.len() - 1;
@@ -827,43 +1023,54 @@ impl<'a, P: Propagator> BackwardChecker<'a, P> {
                         continue;
                     }
                     num_checked += 1;
-                    let negated: Vec<Lit> =
-                        step.clause.lits().iter().map(|&l| !l).collect();
-                    match self.sub_check(&negated, &mut fuel) {
+                    let mut assumed = std::mem::take(&mut self.assumed);
+                    assumed.clear();
+                    assumed.extend(step.clause.lits().iter().map(|&l| !l));
+                    let mut hints = std::mem::take(&mut self.step_hints);
+                    hints.clear();
+                    let implied = match self.sub_check(&assumed, &mut fuel) {
                         SubCheck::Conflict(conflict) => {
-                            let mut cone = Vec::new();
-                            self.mark_and_hint(conflict, &mut cone);
-                            self.hints[add_index] = StepHints::Rup(cone);
+                            self.mark_and_hint(conflict, &mut hints);
                             stats.num_rup += 1;
+                            Implied::Yes
                         }
                         SubCheck::Vacuous => {
-                            self.hints[add_index] = StepHints::Tautology;
+                            // a tautology: vacuously implied, no hints
                             stats.num_rup += 1;
+                            Implied::Yes
                         }
                         SubCheck::NoConflict => {
-                            match self.rat_check(&step.clause, &mut fuel, &mut stats) {
-                                RatResult::Holds(groups) => {
-                                    self.hints[add_index] = StepHints::Rat(groups);
-                                    stats.num_rat += 1;
-                                }
-                                RatResult::Fails => {
-                                    return DratOutcome::Rejected {
-                                        step: Some(add_index),
-                                        error: DratError::NotImplied {
-                                            step: add_index,
-                                            clause: step.clause.clone(),
-                                        },
-                                    }
-                                }
-                                RatResult::Interrupted(s) => {
-                                    return self.exhausted(s, num_checked, &fuel);
-                                }
+                            let rat = self.rat_check(
+                                &step.clause,
+                                &mut assumed,
+                                &mut hints,
+                                &mut fuel,
+                                &mut stats,
+                            );
+                            if let Implied::Yes = rat {
+                                stats.num_rat += 1;
+                            }
+                            rat
+                        }
+                        SubCheck::Interrupted(s) => Implied::Interrupted(s),
+                    };
+                    match implied {
+                        Implied::Yes => self.hints[add_index] = Some(hints.as_slice().into()),
+                        Implied::No => {
+                            return DratOutcome::Rejected {
+                                step: Some(add_index),
+                                error: DratError::NotImplied {
+                                    step: add_index,
+                                    clause: step.clause.clone(),
+                                },
                             }
                         }
-                        SubCheck::Interrupted(s) => {
+                        Implied::Interrupted(s) => {
                             return self.exhausted(s, num_checked, &fuel);
                         }
                     }
+                    self.assumed = assumed;
+                    self.step_hints = hints;
                 }
             }
         }
@@ -921,11 +1128,7 @@ impl<'a, P: Propagator> BackwardChecker<'a, P> {
                 }
             }
         }
-        for i in 0..self.units.len() {
-            let (r, l) = self.units[i];
-            if self.db.is_deleted(r) {
-                continue;
-            }
+        for (&r, &l) in &self.units {
             if let Err(conflict) = self.prop.enqueue_propagated(l, r) {
                 return SubCheck::Conflict(conflict);
             }
@@ -941,78 +1144,95 @@ impl<'a, P: Propagator> BackwardChecker<'a, P> {
     /// LRAT-compatible formulation: for every live clause `D ∋ ¬pivot`,
     /// `F ∧ ¬C ∧ ¬(D \ {¬pivot})` must propagate to a conflict (note:
     /// the *full* ¬C, pivot included, so the recorded hints replay
-    /// verbatim in an LRAT consumer).
+    /// verbatim in an LRAT consumer). `assumed` holds ¬C on entry; each
+    /// candidate's group (`-d`, then its cone) is appended to `hints`.
     fn rat_check(
         &mut self,
         clause: &Clause,
+        assumed: &mut Vec<Lit>,
+        hints: &mut Vec<i64>,
         fuel: &mut Fuel<'_>,
         stats: &mut DratStats,
-    ) -> RatResult {
-        if clause.is_empty() {
-            return RatResult::Fails; // no pivot to resolve on
-        }
-        let pivot = clause[0];
-        let negated_c: Vec<Lit> = clause.lits().iter().map(|&l| !l).collect();
-        // collect first: sub-checks mutate watch lists
-        let candidates: Vec<ClauseRef> = self.occ[(!pivot).idx()]
-            .iter()
-            .copied()
-            .filter(|&r| !self.db.is_deleted(r))
-            .collect();
-        let mut groups = Vec::with_capacity(candidates.len());
-        for d in candidates {
+    ) -> Implied {
+        let Some(&pivot) = clause.lits().first() else {
+            return Implied::No; // no pivot to resolve on
+        };
+        let num_lits = 2 * self.seen.len();
+        let occ = self.occ.get_or_insert_with(|| occurrences(&self.db, num_lits));
+        let mut candidates = std::mem::take(&mut self.candidates);
+        candidates.clear();
+        candidates.extend(
+            occ[(!pivot).idx()]
+                .iter()
+                .copied()
+                .filter(|&r| !self.db.is_deleted(r)),
+        );
+        let negated_len = assumed.len();
+        let mut implied = Implied::Yes;
+        for &d in &candidates {
             stats.num_resolvent_checks += 1;
-            let mut assumptions = negated_c.clone();
-            let d_lits: Vec<Lit> = self.db.lits(d).to_vec();
-            for l in d_lits {
-                if l != !pivot {
-                    assumptions.push(!l);
-                }
-            }
-            match self.sub_check(&assumptions, fuel) {
+            assumed.truncate(negated_len);
+            assumed.extend(self.db.lits(d).iter().filter(|&&l| l != !pivot).map(|&l| !l));
+            hints.push(-(lrat_id(d) as i64));
+            match self.sub_check(assumed, fuel) {
                 SubCheck::Conflict(conflict) => {
-                    let mut cone = Vec::new();
-                    self.mark_and_hint(conflict, &mut cone);
+                    self.mark_and_hint(conflict, hints);
                     // the candidate itself becomes part of the
                     // certificate: an LRAT consumer must see it to
                     // enumerate the same resolvents
                     self.marked[d.index()] = true;
-                    groups.push((d, cone));
                 }
                 SubCheck::Vacuous => {
                     // tautological resolvent: vacuously fine, no hints
                     self.marked[d.index()] = true;
-                    groups.push((d, Vec::new()));
                 }
-                SubCheck::NoConflict => return RatResult::Fails,
-                SubCheck::Interrupted(s) => return RatResult::Interrupted(s),
+                SubCheck::NoConflict => {
+                    implied = Implied::No;
+                    break;
+                }
+                SubCheck::Interrupted(s) => {
+                    implied = Implied::Interrupted(s);
+                    break;
+                }
             }
         }
-        RatResult::Holds(groups)
+        self.candidates = candidates;
+        implied
     }
 
-    /// Marks the conflict cone and records it as replay hints: the
-    /// reason clauses of the cone in *forward* trail order (each is
+    /// Marks the conflict cone and appends it to `hints` as LRAT ids:
+    /// the reason clauses of the cone in *forward* trail order (each is
     /// unit when replayed left to right), then the conflicting clause.
-    fn mark_and_hint(&mut self, conflict: Conflict, hints: &mut Vec<ClauseRef>) {
-        hints.clear();
+    /// One backward pass over the trail collects the cone, which is then
+    /// reversed: a trail literal's reason mentions only earlier ones, so
+    /// no literal is pulled into the cone after the pass has left it.
+    fn mark_and_hint(&mut self, conflict: Conflict, hints: &mut Vec<i64>) {
+        let mut touched = std::mem::take(&mut self.touched);
         self.marked[conflict.clause.index()] = true;
-        let mut touched: Vec<Var> = Vec::new();
         for &q in self.db.lits(conflict.clause) {
             if !self.seen[q.var().idx()] {
                 self.seen[q.var().idx()] = true;
                 touched.push(q.var());
             }
         }
+        let cone_start = hints.len();
+        // every variable in `touched` is false on the trail, so the pass
+        // can stop once it has reached them all
+        let mut reached = 0;
         for idx in (0..self.prop.trail().len()).rev() {
+            if reached == touched.len() {
+                break;
+            }
             let lit = self.prop.trail()[idx];
             if !self.seen[lit.var().idx()] {
                 continue;
             }
+            reached += 1;
             match self.prop.reason(lit.var()) {
                 Reason::Assumed | Reason::Decision => {}
                 Reason::Propagated(c) => {
                     self.marked[c.index()] = true;
+                    hints.push(lrat_id(c) as i64);
                     for &q in self.db.lits(c) {
                         if q != lit && !self.seen[q.var().idx()] {
                             self.seen[q.var().idx()] = true;
@@ -1022,19 +1242,13 @@ impl<'a, P: Propagator> BackwardChecker<'a, P> {
                 }
             }
         }
-        for idx in 0..self.prop.trail().len() {
-            let lit = self.prop.trail()[idx];
-            if !self.seen[lit.var().idx()] {
-                continue;
-            }
-            if let Reason::Propagated(c) = self.prop.reason(lit.var()) {
-                hints.push(c);
-            }
-        }
-        hints.push(conflict.clause);
-        for v in touched {
+        hints[cone_start..].reverse();
+        hints.push(lrat_id(conflict.clause) as i64);
+        for &v in &touched {
             self.seen[v.idx()] = false;
         }
+        touched.clear();
+        self.touched = touched;
     }
 
     /// Assembles the LRAT certificate from the recorded hints. Clause
@@ -1042,12 +1256,11 @@ impl<'a, P: Propagator> BackwardChecker<'a, P> {
     /// `1..=n`, additions continue upward — unmarked additions leave
     /// gaps, which LRAT permits (ids only have to increase).
     fn emit_lrat(
-        &self,
-        terminal_hints: &[ClauseRef],
+        &mut self,
+        terminal_hints: &[i64],
         marked_adds: &[bool],
         kept_deletes: &[bool],
     ) -> LratProof {
-        let id = |r: ClauseRef| (r.index() + 1) as u64;
         let mut lines = Vec::new();
         let mut last_id = self.num_original as u64;
         let mut pending: Vec<u64> = Vec::new();
@@ -1057,7 +1270,7 @@ impl<'a, P: Propagator> BackwardChecker<'a, P> {
             match step.kind {
                 DratStepKind::Delete => {
                     if kept_deletes[di] {
-                        pending.push(id(self.delete_refs[di]));
+                        pending.push(lrat_id(self.delete_refs[di]));
                     }
                     di += 1;
                 }
@@ -1069,32 +1282,15 @@ impl<'a, P: Propagator> BackwardChecker<'a, P> {
                                 ids: std::mem::take(&mut pending),
                             });
                         }
-                        let r = self.add_refs[ai];
-                        let hints: Vec<i64> = match &self.hints[ai] {
-                            StepHints::Rup(cone) => {
-                                cone.iter().map(|&c| id(c) as i64).collect()
-                            }
-                            StepHints::Tautology => Vec::new(),
-                            StepHints::Rat(groups) => groups
-                                .iter()
-                                .flat_map(|(d, cone)| {
-                                    std::iter::once(-(id(*d) as i64))
-                                        .chain(cone.iter().map(|&c| id(c) as i64))
-                                })
-                                .collect(),
-                            StepHints::Unchecked => {
-                                unreachable!("marked addition was checked")
-                            }
-                        };
-                        if step.clause.is_empty() {
-                            have_empty = true;
-                        }
+                        let id = lrat_id(self.add_refs[ai]);
+                        let hints = self.hints[ai].take().expect("marked addition was checked");
+                        have_empty |= step.clause.is_empty();
                         lines.push(LratLine::Add(LratAdd {
-                            id: id(r),
+                            id,
                             clause: step.clause.clone(),
                             hints,
                         }));
-                        last_id = id(r);
+                        last_id = id;
                     }
                     ai += 1;
                 }
@@ -1110,7 +1306,7 @@ impl<'a, P: Propagator> BackwardChecker<'a, P> {
             lines.push(LratLine::Add(LratAdd {
                 id: self.db.len() as u64 + 1,
                 clause: Clause::empty(),
-                hints: terminal_hints.iter().map(|&c| id(c) as i64).collect(),
+                hints: terminal_hints.to_vec(),
             }));
         }
         LratProof::new(lines)
@@ -1169,6 +1365,16 @@ mod tests {
             ParseDratError::BadToken { line, token } => {
                 assert_eq!(line, 1);
                 assert_eq!(token, "d");
+            }
+            other => panic!("wrong error {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_literal_of_i32_min_is_a_bad_token() {
+        match parse_drat_text(b"1 -2147483648 0\n").unwrap_err() {
+            ParseDratError::BadToken { line, token } => {
+                assert_eq!((line, token.as_str()), (1, "-2147483648"));
             }
             other => panic!("wrong error {other:?}"),
         }

@@ -82,8 +82,8 @@ pub use deletion::{
 pub use drat::{
     drat_to_string, encode_drat, encode_drat_to_vec, is_binary_drat, parse_drat,
     parse_drat_binary, parse_drat_text, trim_drat, verify_drat_backward, write_drat,
-    verify_drat_backward_harnessed, DratError, DratOutcome, DratProof, DratStep,
-    DratStepKind, DratVerification, ParseDratError,
+    verify_drat_backward_harnessed, DeletionIndex, DratError, DratOutcome, DratProof,
+    DratStep, DratStepKind, DratVerification, ParseDratError,
 };
 pub use error::VerifyError;
 pub use lrat::{

@@ -13,7 +13,6 @@
 //! The exact grammar of both the text and binary encodings is specified
 //! in `docs/FORMATS.md`.
 
-use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 use std::io::{self, Write};
@@ -96,36 +95,75 @@ impl From<Vec<LratLine>> for LratProof {
 // Writers
 // ---------------------------------------------------------------------
 
+/// Bytes [`write_lrat`] gathers before handing them to the writer.
+const WRITE_CHUNK: usize = 64 * 1024;
+
+/// Appends the decimal digits of `n`.
+fn push_u64(buf: &mut Vec<u8>, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    buf.extend_from_slice(&digits[at..]);
+}
+
+/// Appends `n` in decimal, with a leading `-` when negative.
+fn push_i64(buf: &mut Vec<u8>, n: i64) {
+    if n < 0 {
+        buf.push(b'-');
+    }
+    push_u64(buf, n.unsigned_abs());
+}
+
 /// Writes the certificate in text LRAT
 /// (`<id> <lit>* 0 <hint>* 0` / `<id> d <id>* 0`).
+///
+/// Lines are formatted into one reused buffer that is handed to the
+/// writer whenever it holds 64 KiB, so memory stays bounded by that
+/// chunk plus the longest line, never the whole certificate.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from the writer.
 pub fn write_lrat<W: Write>(mut writer: W, proof: &LratProof) -> io::Result<()> {
+    let mut buf = Vec::with_capacity(WRITE_CHUNK + 1024);
     for line in &proof.lines {
         match line {
             LratLine::Add(add) => {
-                write!(writer, "{}", add.id)?;
+                push_u64(&mut buf, add.id);
                 for &l in add.clause.lits() {
-                    write!(writer, " {}", l.to_dimacs())?;
+                    buf.push(b' ');
+                    push_i64(&mut buf, i64::from(l.to_dimacs()));
                 }
-                write!(writer, " 0")?;
+                buf.extend_from_slice(b" 0");
                 for &h in &add.hints {
-                    write!(writer, " {h}")?;
+                    buf.push(b' ');
+                    push_i64(&mut buf, h);
                 }
-                writeln!(writer, " 0")?;
+                buf.extend_from_slice(b" 0\n");
             }
             LratLine::Delete { id, ids } => {
-                write!(writer, "{id} d")?;
+                push_u64(&mut buf, *id);
+                buf.extend_from_slice(b" d");
                 for &d in ids {
-                    write!(writer, " {d}")?;
+                    buf.push(b' ');
+                    push_u64(&mut buf, d);
                 }
-                writeln!(writer, " 0")?;
+                buf.extend_from_slice(b" 0\n");
             }
         }
+        if buf.len() >= WRITE_CHUNK {
+            writer.write_all(&buf)?;
+            buf.clear();
+        }
     }
-    Ok(())
+    writer.write_all(&buf)
 }
 
 /// Renders the certificate as a text-LRAT string.
@@ -308,69 +346,151 @@ pub fn parse_lrat(bytes: &[u8]) -> Result<LratProof, ParseLratError> {
     }
 }
 
+/// Parses a token as `str::parse::<u64>` does: an optional `+`, then
+/// one or more ASCII digits, without overflow.
+fn parse_u64_token(tok: &[u8]) -> Option<u64> {
+    let digits = match tok {
+        [b'+', rest @ ..] => rest,
+        _ => tok,
+    };
+    if digits.is_empty() {
+        return None;
+    }
+    digits.iter().try_fold(0u64, |n, &b| {
+        if b.is_ascii_digit() {
+            n.checked_mul(10)?.checked_add(u64::from(b - b'0'))
+        } else {
+            None
+        }
+    })
+}
+
+/// Parses a token as `str::parse::<i64>` does: an optional sign, then
+/// one or more ASCII digits, without overflow.
+fn parse_i64_token(tok: &[u8]) -> Option<i64> {
+    match tok {
+        [b'-', rest @ ..] => {
+            let magnitude = match rest {
+                [b'+' | b'-', ..] => return None,
+                _ => parse_u64_token(rest)?,
+            };
+            0i64.checked_sub_unsigned(magnitude)
+        }
+        _ => i64::try_from(parse_u64_token(tok)?).ok(),
+    }
+}
+
+/// A cursor over text LRAT: tokens are runs of bytes other than ASCII
+/// whitespace, and a line ends at `\n`.
+struct TextCursor<'b> {
+    bytes: &'b [u8],
+    pos: usize,
+}
+
+impl<'b> TextCursor<'b> {
+    /// The next token of the current line, or `None` at its end.
+    fn token(&mut self) -> Option<&'b [u8]> {
+        let bytes = self.bytes;
+        let mut i = self.pos;
+        while i < bytes.len() && bytes[i] != b'\n' && bytes[i].is_ascii_whitespace() {
+            i += 1;
+        }
+        let start = i;
+        while i < bytes.len() && !bytes[i].is_ascii_whitespace() {
+            i += 1;
+        }
+        self.pos = i;
+        (i > start).then(|| &bytes[start..i])
+    }
+
+    /// Moves past the end of the current line; `false` at the end of
+    /// the input.
+    fn next_line(&mut self) -> bool {
+        match self.bytes[self.pos..].iter().position(|&b| b == b'\n') {
+            Some(at) => {
+                self.pos += at + 1;
+                true
+            }
+            None => {
+                self.pos = self.bytes.len();
+                false
+            }
+        }
+    }
+}
+
 /// Parses text LRAT. Comment lines (`c …`) and blank lines are skipped.
+///
+/// The input is scanned as bytes: lines end at `\n` (a `\r` before it
+/// is whitespace), tokens are separated by ASCII whitespace, and numbers
+/// follow `str::parse` (an optional sign, decimal digits, no overflow).
+/// A token that is not valid UTF-8 is reported with U+FFFD in place of
+/// its invalid bytes.
 ///
 /// # Errors
 ///
 /// See [`parse_lrat`].
 pub fn parse_lrat_text(bytes: &[u8]) -> Result<LratProof, ParseLratError> {
-    let text = String::from_utf8_lossy(bytes);
     let mut lines = Vec::new();
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = lineno + 1;
-        let mut tokens = raw.split_ascii_whitespace().peekable();
-        let Some(first) = tokens.next() else { continue };
-        if first.starts_with('c') {
-            continue;
-        }
-        let id: u64 = first
-            .parse()
-            .map_err(|_| ParseLratError::BadToken { line, token: first.to_string() })?;
-        if tokens.peek() == Some(&"d") {
-            tokens.next();
-            let mut ids = Vec::new();
-            let mut terminated = false;
-            for tok in tokens.by_ref() {
-                let v: u64 = tok
-                    .parse()
-                    .map_err(|_| ParseLratError::BadToken { line, token: tok.to_string() })?;
-                if v == 0 {
-                    terminated = true;
-                    break;
-                }
-                ids.push(v);
-            }
-            if !terminated {
-                return Err(ParseLratError::UnterminatedLine { line });
-            }
-            lines.push(LratLine::Delete { id, ids });
-        } else {
-            let mut lits = Vec::new();
-            let mut hints = Vec::new();
-            let mut zeros = 0;
-            for tok in tokens.by_ref() {
-                let v: i64 = tok
-                    .parse()
-                    .map_err(|_| ParseLratError::BadToken { line, token: tok.to_string() })?;
-                if v == 0 {
-                    zeros += 1;
-                    if zeros == 2 {
-                        break;
+    // scratch reused by every add line; each line's literals and hints
+    // are then allocated once, at their exact size
+    let mut lits = Vec::new();
+    let mut hints = Vec::new();
+    let mut cursor = TextCursor { bytes, pos: 0 };
+    let mut line = 0;
+    loop {
+        line += 1;
+        let bad = |tok: &[u8]| ParseLratError::BadToken {
+            line,
+            token: String::from_utf8_lossy(tok).into_owned(),
+        };
+        if let Some(first) = cursor.token().filter(|first| first[0] != b'c') {
+            let id = parse_u64_token(first).ok_or_else(|| bad(first))?;
+            let mut second = cursor.token();
+            if second == Some(b"d") {
+                let mut ids = Vec::new();
+                loop {
+                    let Some(tok) = cursor.token() else {
+                        return Err(ParseLratError::UnterminatedLine { line });
+                    };
+                    match parse_u64_token(tok).ok_or_else(|| bad(tok))? {
+                        0 => break,
+                        v => ids.push(v),
                     }
-                } else if zeros == 0 {
-                    let lit = i32::try_from(v).map_err(|_| ParseLratError::BadToken {
-                        line,
-                        token: tok.to_string(),
-                    })?;
-                    lits.push(Lit::from_dimacs(lit));
-                } else {
-                    hints.push(v);
                 }
+                lines.push(LratLine::Delete { id, ids });
+            } else {
+                lits.clear();
+                hints.clear();
+                let mut zeros = 0;
+                while zeros < 2 {
+                    let Some(tok) = second.take().or_else(|| cursor.token()) else {
+                        return Err(ParseLratError::UnterminatedLine { line });
+                    };
+                    let v = parse_i64_token(tok).ok_or_else(|| bad(tok))?;
+                    if v == 0 {
+                        zeros += 1;
+                    } else if zeros == 0 {
+                        // i32::MIN names no variable
+                        let lit = i32::try_from(v)
+                            .ok()
+                            .filter(|&l| l != i32::MIN)
+                            .ok_or_else(|| bad(tok))?;
+                        lits.push(Lit::from_dimacs(lit));
+                    } else {
+                        hints.push(v);
+                    }
+                }
+                lines.push(LratLine::Add(LratAdd {
+                    id,
+                    clause: Clause::from_lits(&lits),
+                    hints: hints.as_slice().into(),
+                }));
             }
-            if zeros != 2 {
-                return Err(ParseLratError::UnterminatedLine { line });
-            }
-            lines.push(LratLine::Add(LratAdd { id, clause: Clause::new(lits), hints }));
+        }
+        // tokens after a line's terminator are ignored
+        if !cursor.next_line() {
+            break;
         }
     }
     Ok(LratProof::new(lines))
@@ -403,6 +523,8 @@ fn decode_signed(code: u32) -> i64 {
 /// See [`parse_lrat`]; errors carry the byte offset of the fault.
 pub fn parse_lrat_binary(bytes: &[u8]) -> Result<LratProof, ParseLratError> {
     let mut lines = Vec::new();
+    let mut lits = Vec::new();
+    let mut hints = Vec::new();
     let mut pos = 0usize;
     while pos < bytes.len() {
         let prefix = bytes[pos];
@@ -411,8 +533,8 @@ pub fn parse_lrat_binary(bytes: &[u8]) -> Result<LratProof, ParseLratError> {
         match prefix {
             b'a' => {
                 let id = u64::from(read_lrat_varint(bytes, &mut pos)?);
-                let mut lits = Vec::new();
-                let mut hints = Vec::new();
+                lits.clear();
+                hints.clear();
                 let mut in_hints = false;
                 loop {
                     if pos >= bytes.len() {
@@ -441,7 +563,11 @@ pub fn parse_lrat_binary(bytes: &[u8]) -> Result<LratProof, ParseLratError> {
                         lits.push(Lit::from_dimacs(lit));
                     }
                 }
-                lines.push(LratLine::Add(LratAdd { id, clause: Clause::new(lits), hints }));
+                lines.push(LratLine::Add(LratAdd {
+                    id,
+                    clause: Clause::from_lits(&lits),
+                    hints: hints.as_slice().into(),
+                }));
             }
             b'd' => {
                 let id = u64::from(read_lrat_varint(bytes, &mut pos)?);
@@ -575,8 +701,77 @@ impl fmt::Display for LratError {
 
 impl Error for LratError {}
 
-struct LratChecker {
-    db: HashMap<u64, Clause>,
+/// Ids up to this many times the number of clauses stored (plus
+/// [`DENSE_SLACK`]) index the table directly; larger ids are kept in a
+/// sorted list instead, so a sparse or huge id costs no memory.
+const DENSE_FACTOR: u64 = 4;
+/// See [`DENSE_FACTOR`].
+const DENSE_SLACK: u64 = 1024;
+
+/// The active clauses by id, borrowed from the formula and the
+/// certificate. Ids are inserted in increasing order (add-line ids must
+/// increase), so a dense prefix is a direct index and the rest is a
+/// sorted list searched by bisection. A deleted clause leaves `None`.
+struct ClauseTable<'c> {
+    /// `dense[id]`, for ids below `dense.len()`
+    dense: Vec<Option<&'c Clause>>,
+    /// ids from `dense.len()` on, ascending
+    sparse: Vec<(u64, Option<&'c Clause>)>,
+    inserted: u64,
+}
+
+impl<'c> ClauseTable<'c> {
+    fn with_capacity(clauses: usize) -> Self {
+        ClauseTable { dense: Vec::with_capacity(clauses + 1), sparse: Vec::new(), inserted: 0 }
+    }
+
+    /// Adds clause `id`, which exceeds every id added before.
+    fn insert(&mut self, id: u64, clause: &'c Clause) {
+        self.inserted += 1;
+        if self.sparse.is_empty() && id <= DENSE_FACTOR * self.inserted + DENSE_SLACK {
+            let slot = id as usize;
+            if slot >= self.dense.len() {
+                self.dense.resize(slot + 1, None);
+            }
+            self.dense[slot] = Some(clause);
+        } else {
+            self.sparse.push((id, Some(clause)));
+        }
+    }
+
+    fn get(&self, id: u64) -> Option<&'c Clause> {
+        match usize::try_from(id) {
+            Ok(i) if i < self.dense.len() => self.dense[i],
+            _ => {
+                let at = self.sparse.binary_search_by_key(&id, |&(k, _)| k).ok()?;
+                self.sparse[at].1
+            }
+        }
+    }
+
+    /// Deletes clause `id`; `false` when it is not active.
+    fn remove(&mut self, id: u64) -> bool {
+        let slot = match usize::try_from(id) {
+            Ok(i) if i < self.dense.len() => &mut self.dense[i],
+            _ => match self.sparse.binary_search_by_key(&id, |&(k, _)| k) {
+                Ok(at) => &mut self.sparse[at].1,
+                Err(_) => return false,
+            },
+        };
+        slot.take().is_some()
+    }
+
+    /// The active clauses, in ascending id order.
+    fn active(&self) -> impl Iterator<Item = (u64, &'c Clause)> + '_ {
+        let dense = self.dense.iter().enumerate().map(|(i, c)| (i as u64, *c));
+        dense
+            .chain(self.sparse.iter().copied())
+            .filter_map(|(id, c)| Some((id, c?)))
+    }
+}
+
+struct LratChecker<'c> {
+    db: ClauseTable<'c>,
     /// 0 = unassigned, 1 = true, -1 = false (indexed by variable).
     values: Vec<i8>,
     trail: Vec<Lit>,
@@ -587,7 +782,7 @@ enum Replay {
     OutOfHints,
 }
 
-impl LratChecker {
+impl<'c> LratChecker<'c> {
     fn value(&self, l: Lit) -> i8 {
         let v = self.values[l.var().idx()];
         if l.is_positive() {
@@ -633,7 +828,7 @@ impl LratChecker {
             let hid = h.unsigned_abs();
             let clause = self
                 .db
-                .get(&hid)
+                .get(hid)
                 .ok_or(LratError::UnknownClause { id: line_id, referenced: hid })?;
             let mut unit = None;
             let mut open = 0usize;
@@ -666,11 +861,15 @@ impl LratChecker {
 /// no search, each hinted clause must be unit or the closing conflict,
 /// RAT lines must cover every active ¬pivot candidate.
 ///
+/// The active clauses are borrowed from `formula` and `proof`, never
+/// copied.
+///
 /// # Errors
 ///
 /// Returns [`LratError`] naming the offending line on the first failed
 /// replay, or [`LratError::NotARefutation`] when the certificate never
-/// derives the empty clause.
+/// derives the empty clause. A RAT line that leaves several candidates
+/// uncovered names the smallest of their ids.
 ///
 /// # Examples
 ///
@@ -688,27 +887,32 @@ impl LratChecker {
 /// ```
 pub fn check_lrat(formula: &CnfFormula, proof: &LratProof) -> Result<LratStats, LratError> {
     let mut num_vars = formula.num_vars();
+    let mut num_adds = 0;
     for line in proof.lines() {
         if let LratLine::Add(add) = line {
+            num_adds += 1;
             if let Some(v) = add.clause.max_var() {
                 num_vars = num_vars.max(v.idx() + 1);
             }
         }
     }
-    let mut db = HashMap::new();
+    let mut db = ClauseTable::with_capacity(formula.num_clauses() + num_adds);
     for (i, clause) in formula.iter().enumerate() {
-        db.insert(i as u64 + 1, clause.clone());
+        db.insert(i as u64 + 1, clause);
     }
     let mut chk = LratChecker { db, values: vec![0; num_vars], trail: Vec::new() };
     let mut stats = LratStats::default();
     let mut last_id = formula.num_clauses() as u64;
+    // RAT bookkeeping reused across lines: the candidates a line must
+    // cover, ascending, and whether each has its group yet
+    let mut needed: Vec<(u64, bool)> = Vec::new();
 
     for line in proof.lines() {
         match line {
             LratLine::Delete { id, ids } => {
-                for d in ids {
-                    if chk.db.remove(d).is_none() {
-                        return Err(LratError::UnknownClause { id: *id, referenced: *d });
+                for &d in ids {
+                    if !chk.db.remove(d) {
+                        return Err(LratError::UnknownClause { id: *id, referenced: d });
                     }
                 }
                 stats.num_delete_lines += 1;
@@ -736,9 +940,9 @@ pub fn check_lrat(formula: &CnfFormula, proof: &LratProof) -> Result<LratStats, 
                             // whose negation occurs in no active clause has
                             // zero resolvents, so RAT holds vacuously and
                             // there is nothing to replay.
-                            let blocked = add.clause.lits().first().is_some_and(
-                                |&pivot| !chk.db.values().any(|c| c.contains(!pivot)),
-                            );
+                            let blocked = add.clause.lits().first().is_some_and(|&pivot| {
+                                !chk.db.active().any(|(_, c)| c.contains(!pivot))
+                            });
                             if !blocked {
                                 chk.undo_to(mark);
                                 return Err(LratError::NoConflict { id: add.id });
@@ -754,29 +958,35 @@ pub fn check_lrat(formula: &CnfFormula, proof: &LratProof) -> Result<LratStats, 
                     // resolvent group
                     stats.num_rat_lines += 1;
                     let pivot = add.clause.lits()[0];
-                    let mut needed: HashSet<u64> = chk
-                        .db
-                        .iter()
-                        .filter(|(_, c)| c.contains(!pivot))
-                        .map(|(&id, _)| id)
-                        .collect();
+                    needed.clear();
+                    needed.extend(
+                        chk.db
+                            .active()
+                            .filter(|(_, c)| c.contains(!pivot))
+                            .map(|(id, _)| (id, false)),
+                    );
                     let mut rest = groups;
                     while let Some((&neg, tail)) = rest.split_first() {
                         let candidate = neg.unsigned_abs();
                         let glen = tail.iter().position(|&h| h < 0).unwrap_or(tail.len());
                         let (ghints, next) = tail.split_at(glen);
                         rest = next;
-                        if !needed.remove(&candidate) {
-                            return Err(LratError::UnexpectedRatGroup {
-                                id: add.id,
-                                candidate,
-                            });
-                        }
-                        let d = chk.db.get(&candidate).cloned().ok_or(
-                            LratError::UnknownClause { id: add.id, referenced: candidate },
-                        )?;
+                        let covered = match needed.binary_search_by_key(&candidate, |&(id, _)| id) {
+                            Ok(at) if !needed[at].1 => &mut needed[at].1,
+                            _ => {
+                                return Err(LratError::UnexpectedRatGroup {
+                                    id: add.id,
+                                    candidate,
+                                })
+                            }
+                        };
+                        *covered = true;
+                        let d = chk.db.get(candidate).ok_or(LratError::UnknownClause {
+                            id: add.id,
+                            referenced: candidate,
+                        })?;
                         let gmark = chk.trail.len();
-                        if chk.assume_negated(&d, Some(!pivot)) {
+                        if chk.assume_negated(d, Some(!pivot)) {
                             match chk.replay(add.id, ghints)? {
                                 Replay::Conflict => {}
                                 Replay::OutOfHints => {
@@ -789,7 +999,7 @@ pub fn check_lrat(formula: &CnfFormula, proof: &LratProof) -> Result<LratStats, 
                         }
                         chk.undo_to(gmark);
                     }
-                    if let Some(&candidate) = needed.iter().next() {
+                    if let Some(&(candidate, _)) = needed.iter().find(|(_, covered)| !covered) {
                         return Err(LratError::MissingRatCandidate { id: add.id, candidate });
                     }
                 }
@@ -797,7 +1007,7 @@ pub fn check_lrat(formula: &CnfFormula, proof: &LratProof) -> Result<LratStats, 
                 if add.clause.is_empty() {
                     return Ok(stats);
                 }
-                chk.db.insert(add.id, add.clause.clone());
+                chk.db.insert(add.id, &add.clause);
                 last_id = add.id;
             }
         }
@@ -894,6 +1104,87 @@ mod tests {
             check_lrat(&f, &bad),
             Err(LratError::NoConflict { .. }) | Err(LratError::MissingRatCandidate { .. })
         ));
+    }
+
+    #[test]
+    fn missing_rat_candidates_name_the_smallest_id() {
+        // pivot 1; the clauses holding ¬1 are 2, 3 and 5. Each has a
+        // resolvent group that falsifies one clause: 2 = (¬1 ∨ 2) with
+        // 1 = (1 ∨ 2), 3 = (¬1 ∨ 4) with 6 = (1 ∨ 4), 5 = (¬1 ∨ 3) with
+        // 4 = (1 ∨ 3).
+        let mut clauses =
+            vec![vec![1, 2], vec![-1, 2], vec![-1, 4], vec![1, 3], vec![-1, 3], vec![1, 4]];
+        let only_5 = parse_lrat_text(b"100 1 0 -5 4 0\n").expect("parse");
+        let f = CnfFormula::from_dimacs_clauses(&clauses);
+        assert_eq!(
+            check_lrat(&f, &only_5),
+            Err(LratError::MissingRatCandidate { id: 100, candidate: 2 })
+        );
+        let all = parse_lrat_text(b"100 1 0 -2 1 -3 6 -5 4 0\n").expect("parse");
+        assert_eq!(check_lrat(&f, &all), Err(LratError::NotARefutation));
+        // ten more candidates, 7..=16: more than a hash set keeps in
+        // order, and still the smallest uncovered id is named
+        clauses.extend((0..10).map(|k| vec![-1, 5 + k]));
+        let f = CnfFormula::from_dimacs_clauses(&clauses);
+        for _ in 0..8 {
+            assert_eq!(
+                check_lrat(&f, &only_5),
+                Err(LratError::MissingRatCandidate { id: 100, candidate: 2 })
+            );
+        }
+        assert_eq!(
+            check_lrat(&f, &all),
+            Err(LratError::MissingRatCandidate { id: 100, candidate: 7 })
+        );
+    }
+
+    #[test]
+    fn sparse_and_huge_ids_check_without_a_table_per_id() {
+        // the xor refutation with ids far apart, up to 2^40 and beyond
+        // what a direct table could hold
+        let big = 1u64 << 40;
+        let text = format!(
+            "{a} 2 0 1 4 0\n{a} d 1 0\n{b} -2 0 2 3 0\n{c} 0 {a} {b} 0\n",
+            a = 1_000,
+            b = big,
+            c = u64::MAX,
+        );
+        let lrat = parse_lrat_text(text.as_bytes()).expect("parse");
+        let stats = check_lrat(&xor_square(), &lrat).expect("sparse ids check");
+        assert_eq!(stats.num_add_lines, 3);
+        // an id that was never added, in the sparse range
+        let text = format!("{big} 2 0 1 4 0\n{} -2 0 {} 2 3 0\n", big + 2, big + 1);
+        assert_eq!(
+            check_lrat(&xor_square(), &parse_lrat_text(text.as_bytes()).expect("parse")),
+            Err(LratError::UnknownClause { id: big + 2, referenced: big + 1 })
+        );
+        // deleting a clause twice, dense and sparse
+        let text = format!("{big} 2 0 1 4 0\n{big} d 1 {big} 0\n{big} d {big} 0\n");
+        assert_eq!(
+            check_lrat(&xor_square(), &parse_lrat_text(text.as_bytes()).expect("parse")),
+            Err(LratError::UnknownClause { id: big, referenced: big })
+        );
+        let twice = parse_lrat_text(b"5 2 0 1 4 0\n5 d 3 0\n5 d 3 0\n").expect("parse");
+        assert_eq!(
+            check_lrat(&xor_square(), &twice),
+            Err(LratError::UnknownClause { id: 5, referenced: 3 })
+        );
+        // id 0 is never a clause
+        let zero = LratProof::new(vec![LratLine::Delete { id: 4, ids: vec![0] }]);
+        assert_eq!(
+            check_lrat(&xor_square(), &zero),
+            Err(LratError::UnknownClause { id: 4, referenced: 0 })
+        );
+    }
+
+    #[test]
+    fn a_literal_of_i32_min_is_a_bad_token() {
+        match parse_lrat_text(b"5 -2147483648 0 0\n").unwrap_err() {
+            ParseLratError::BadToken { line, token } => {
+                assert_eq!((line, token.as_str()), (1, "-2147483648"));
+            }
+            other => panic!("wrong error {other:?}"),
+        }
     }
 
     #[test]

@@ -1220,6 +1220,13 @@ impl<P: Propagator> StreamChecker<P> {
 
     /// One budgeted propagation check over the currently live clauses —
     /// the same procedure as the in-memory backward checker.
+    ///
+    /// Unlike the in-memory checker, which keeps a set of the live units,
+    /// this scans every unit clause in the store and skips the deleted
+    /// ones. The list is part of the modeled residency (`units.len()`
+    /// entries of `RESIDENCY_UNIT` bytes, dropped by a store rebuild), so
+    /// replacing it would change the degradation ladder's decisions; a
+    /// window's rebuild keeps it short on long proofs.
     fn sub_check(&mut self, assumptions: &[Lit], fuel: &mut Fuel<'_>) -> Sub {
         if let Some(&r) = self.empties.iter().find(|r| !self.db.is_deleted(**r)) {
             return Sub::Conflict(Conflict { clause: r });
@@ -2092,6 +2099,16 @@ fn run_stream<R: Read + Seek, P: Propagator>(
 /// variables are reused round-robin so per-variable engine state stays
 /// constant. The terminal steps derive the empty clause from the last
 /// unit.
+///
+/// Every bridge `(w_i ∨ ¬w_{i-1})` after the first is a *blocked* RAT
+/// step on `w_i`: when it is added no live clause holds `¬w_i`, so it
+/// has no resolvents, but assuming `¬w_i ∧ w_{i-1}` propagates nothing,
+/// so it is not RUP. Both DRAT checkers therefore verify the proof with
+/// `links - 1` RAT checks, while the RUP-only native [`crate::Checker`]
+/// rejects its native form ([`DratProof::to_conflict_proof`]) with
+/// `NotImplied` on a bridge. Dropping the deletions does not make the
+/// proof RUP: bridges 2 to 8 each introduce a `w` variable that no
+/// earlier clause mentions, so the rejection is correct.
 #[must_use]
 pub fn chain_workload(links: usize) -> (CnfFormula, DratProof) {
     let formula = CnfFormula::from_dimacs_clauses(&[

@@ -7,10 +7,10 @@
 use std::path::PathBuf;
 
 use proofver::{
-    chain_workload, encode_drat_to_vec, verify_drat_backward_harnessed,
+    chain_workload, encode_drat_to_vec, verify, verify_drat_backward_harnessed,
     verify_drat_stream, verify_drat_stream_bytes, Budget, DratOutcome,
     FaultPlan, Harness, PropagatorChoice, StreamCheckpoint, StreamConfig,
-    StreamError, StreamOutcome, StreamVerification,
+    StreamError, StreamOutcome, StreamVerification, VerifyError,
 };
 
 fn tiny_config() -> StreamConfig {
@@ -61,6 +61,72 @@ fn streaming_core_matches_in_memory_core() {
     ));
     assert_eq!(v.core.indices(), reference.core.indices());
     assert_eq!(v.total_adds as usize, proof.num_adds());
+}
+
+/// Every link deletes the previous unit and a later one resurrects it
+/// in the backward walk, so the in-memory checker's live-unit set is
+/// rebuilt on every link; it must enqueue the same units in the same
+/// order as the windowed checker's scan.
+#[test]
+fn in_memory_and_bounded_stream_agree_on_the_chain() {
+    let (formula, proof) = chain_workload(2_000);
+    let harness = Harness::default();
+    let DratOutcome::Verified(reference) = verify_drat_backward_harnessed(
+        &formula,
+        &proof,
+        &harness,
+        PropagatorChoice::Watched,
+    ) else {
+        panic!("in-memory checker rejected the workload");
+    };
+    let v = expect_verified(verify_drat_stream_bytes(
+        &formula,
+        &encode_drat_to_vec(&proof),
+        &harness,
+        &tiny_config(),
+        PropagatorChoice::Watched,
+        None,
+        None,
+    ));
+    assert!(v.windows > 1, "the budget must split the proof into windows");
+    assert_eq!(v.num_checked, reference.num_checked);
+    assert_eq!(v.core.indices(), reference.core.indices());
+    assert_eq!(v.stats.num_rat, reference.stats.num_rat);
+}
+
+/// The chain's bridges `(w_i ∨ ¬w_{i-1})` are blocked RAT steps, not
+/// RUP ones, so the native RUP-only checker rejects the proof's native
+/// form (its additions, deletions dropped) while both DRAT checkers
+/// accept it with one RAT check per bridge after the first.
+#[test]
+fn native_checker_rejects_the_chain_that_drat_checkers_accept() {
+    let links = 300;
+    let (formula, proof) = chain_workload(links);
+    match verify(&formula, &proof.to_conflict_proof()) {
+        Err(VerifyError::NotImplied { clause, .. }) => {
+            assert_eq!(clause.len(), 2, "a bridge fails, not {clause:?}");
+        }
+        other => panic!("expected NotImplied, got {other:?}"),
+    }
+    let harness = Harness::default();
+    for engine in [PropagatorChoice::Watched, PropagatorChoice::ArenaWatched] {
+        let DratOutcome::Verified(v) =
+            verify_drat_backward_harnessed(&formula, &proof, &harness, engine)
+        else {
+            panic!("{engine}: the in-memory DRAT checker rejected the chain");
+        };
+        assert_eq!(v.stats.num_rat, links - 1, "{engine}");
+        let s = expect_verified(verify_drat_stream_bytes(
+            &formula,
+            &encode_drat_to_vec(&proof),
+            &harness,
+            &tiny_config(),
+            engine,
+            None,
+            None,
+        ));
+        assert_eq!(s.stats.num_rat, links - 1, "{engine}");
+    }
 }
 
 #[test]
