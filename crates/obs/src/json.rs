@@ -66,6 +66,19 @@ impl Json {
         }
     }
 
+    /// Removes and returns the value under the first `key`, if this is an
+    /// object containing it: the move-out counterpart of [`Json::get`],
+    /// for callers that keep a decoded value instead of copying it.
+    pub fn take(&mut self, key: &str) -> Option<Json> {
+        match self {
+            Json::Object(pairs) => {
+                let index = pairs.iter().position(|(k, _)| k == key)?;
+                Some(pairs.remove(index).1)
+            }
+            _ => None,
+        }
+    }
+
     /// The integer value, if this is `Json::Int`.
     #[must_use]
     pub fn as_int(&self) -> Option<i64> {
@@ -217,23 +230,58 @@ fn write_f64(x: f64, out: &mut String) {
 
 fn write_escaped(s: &str, out: &mut String) {
     use std::fmt::Write as _;
+    out.reserve(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let bytes = s.as_bytes();
+    let mut start = 0;
+    loop {
+        // runs between specials are copied whole; a special is ASCII, so
+        // both ends of every run are char boundaries
+        let end = start + find_special(&bytes[start..]);
+        out.push_str(&s[start..end]);
+        let Some(&b) = bytes.get(end) else { break };
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            0x08 => out.push_str("\\b"),
+            0x0C => out.push_str("\\f"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
+        start = end + 1;
     }
     out.push('"');
+}
+
+/// The offset of the first byte of `bytes` that a JSON string cannot
+/// hold raw — `"`, `\` or a control character below 0x20 — or
+/// `bytes.len()` when there is none. Scans a word of eight bytes per
+/// step; the encoder and the decoder share it.
+fn find_special(bytes: &[u8]) -> usize {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = 0x8080_8080_8080_8080;
+    // a byte's high bit is set in the result when the byte is zero; a
+    // borrow can only flag bytes above a true zero, so the lowest flag
+    // is exact
+    let zero = |w: u64| w.wrapping_sub(ONES) & !w & HIGHS;
+    let mut words = bytes.chunks_exact(8);
+    let mut offset = 0;
+    for chunk in &mut words {
+        let w = u64::from_le_bytes(chunk.try_into().expect("eight bytes"));
+        let hits = zero(w ^ (ONES * u64::from(b'"')))
+            | zero(w ^ (ONES * u64::from(b'\\')))
+            | (w.wrapping_sub(ONES * 0x20) & !w & HIGHS);
+        if hits != 0 {
+            return offset + (hits.trailing_zeros() / 8) as usize;
+        }
+        offset += 8;
+    }
+    let tail = words.remainder();
+    offset + tail.iter().position(|&b| b == b'"' || b == b'\\' || b < 0x20).unwrap_or(tail.len())
 }
 
 fn write_seq(
@@ -294,7 +342,7 @@ impl std::error::Error for ParseError {}
 /// unquoted keys. `\uXXXX` escapes are decoded, including surrogate
 /// pairs.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { text: input, bytes: input.as_bytes(), pos: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -305,6 +353,7 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -411,6 +460,11 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // copy the run up to the next quote, backslash or control
+            // byte whole: it is ASCII, so the run ends on a char boundary
+            let end = self.pos + find_special(&self.bytes[self.pos..]);
+            out.push_str(&self.text[self.pos..end]);
+            self.pos = end;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -421,19 +475,7 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                     out.push(self.escape()?);
                 }
-                Some(b) if b < 0x20 => {
-                    return Err(self.err("raw control character in string"));
-                }
-                Some(_) => {
-                    // consume one full UTF-8 scalar (input is &str, so
-                    // boundaries are guaranteed valid)
-                    let rest = &self.bytes[self.pos..];
-                    let len = utf8_len(rest[0]);
-                    let s = std::str::from_utf8(&rest[..len])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    out.push_str(s);
-                    self.pos += len;
-                }
+                Some(_) => return Err(self.err("raw control character in string")),
             }
         }
     }
@@ -541,15 +583,6 @@ impl<'a> Parser<'a> {
                 Err(_) => text.parse().map(Json::Float).map_err(|e| self.err(e.to_string())),
             }
         }
-    }
-}
-
-fn utf8_len(first_byte: u8) -> usize {
-    match first_byte {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
     }
 }
 

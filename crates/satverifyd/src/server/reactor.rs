@@ -4,7 +4,10 @@
 //!
 //! The reactor owns the **read** side only: it accepts, buffers bytes
 //! per connection, splits complete lines, and dispatches them through
-//! the same [`handle_line`] the threaded model uses. Responses are
+//! the same [`handle_line`] the threaded model uses. Bytes are read
+//! straight into the connection's buffer, each byte is searched for a
+//! newline once, and a complete line is decoded where it lies in the
+//! buffer; the consumed prefix is dropped once per read. Responses are
 //! written by whichever thread completes them (control replies by the
 //! reactor itself, job results by workers) through the shared
 //! per-connection writer; the non-blocking flag lives on the file
@@ -21,7 +24,7 @@
 //! [`disconnect_cleanup`] so each one still gets its `disconnected`
 //! event.
 
-use std::io::{self, Read};
+use std::io::{self, BufRead, Read};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -48,8 +51,11 @@ struct Conn {
     /// The read half. Same file description as the writer clones.
     stream: Stream,
     writer: SharedWriter,
-    /// Bytes received but not yet terminated by a newline.
+    /// Bytes received but not yet dispatched: at most one partial line
+    /// between reads.
     buf: Vec<u8>,
+    /// How much of `buf` is known to hold no newline.
+    scanned: usize,
 }
 
 /// The reactor thread body. Exits when `shared.stop` is set.
@@ -153,6 +159,7 @@ fn accept_ready(
             stream,
             writer: Arc::new(Mutex::new(write_half)),
             buf: Vec::new(),
+            scanned: 0,
         });
     }
 }
@@ -161,22 +168,24 @@ fn accept_ready(
 /// dispatching every complete line. Returns whether the connection
 /// stays open.
 fn service_conn(shared: &Arc<Shared>, conn: &mut Conn) -> bool {
-    let mut chunk = [0u8; READ_CHUNK];
     loop {
-        match conn.stream.read(&mut chunk) {
+        let filled = conn.buf.len();
+        conn.buf.resize(filled + READ_CHUNK, 0);
+        let read = conn.stream.read(&mut conn.buf[filled..]);
+        // every line this read completes was received now
+        let received = Instant::now();
+        conn.buf.truncate(filled + *read.as_ref().unwrap_or(&0));
+        match read {
             Ok(0) => {
                 // EOF. A final unterminated line is still served, to
-                // match BufReader::lines in the threaded model.
+                // match the threaded model's reader.
                 if !conn.buf.is_empty() {
-                    let line = String::from_utf8_lossy(&conn.buf).into_owned();
-                    conn.buf.clear();
-                    let _ = handle_line(shared, conn.id, &line, &conn.writer);
+                    let _ = handle_line(shared, conn.id, &conn.buf, received, &conn.writer);
                 }
                 return false;
             }
-            Ok(n) => {
-                conn.buf.extend_from_slice(&chunk[..n]);
-                if !dispatch_lines(shared, conn) {
+            Ok(_) => {
+                if !dispatch_lines(shared, conn, received) {
                     return false;
                 }
                 if conn.buf.len() > MAX_LINE_BYTES {
@@ -184,26 +193,63 @@ fn service_conn(shared: &Arc<Shared>, conn: &mut Conn) -> bool {
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                // going idle: a connection whose lines fit one read keeps
+                // no buffer; one that carried longer lines keeps the
+                // capacity for the next
+                if conn.buf.is_empty() && conn.buf.capacity() <= READ_CHUNK {
+                    conn.buf = Vec::new();
+                }
+                return true;
+            }
             Err(_) => return false,
         }
     }
 }
 
-/// Splits and handles every complete line in the buffer. Returns
-/// whether the connection stays open (a failed response write closes
-/// it).
-fn dispatch_lines(shared: &Arc<Shared>, conn: &mut Conn) -> bool {
-    while let Some(pos) = conn.buf.iter().position(|&b| b == b'\n') {
-        let mut line: Vec<u8> = conn.buf.drain(..=pos).collect();
-        line.pop(); // the newline
-        if line.last() == Some(&b'\r') {
-            line.pop();
+/// Handles every complete line in the buffer, searching only the bytes
+/// that arrived since the last search, then drops the handled prefix.
+/// Returns whether the connection stays open (a failed response write
+/// closes it).
+fn dispatch_lines(shared: &Arc<Shared>, conn: &mut Conn, received: Instant) -> bool {
+    let mut start = 0;
+    let mut from = conn.scanned;
+    let mut open = true;
+    while let Some(offset) = find_newline(&conn.buf[from..]) {
+        let end = from + offset;
+        let line = &conn.buf[start..end];
+        if handle_line(shared, conn.id, line, received, &conn.writer).is_err() {
+            open = false;
+            break;
         }
-        let text = String::from_utf8_lossy(&line);
-        if handle_line(shared, conn.id, &text, &conn.writer).is_err() {
-            return false;
-        }
+        start = end + 1;
+        from = start;
     }
-    true
+    conn.buf.drain(..start);
+    conn.scanned = conn.buf.len();
+    open
+}
+
+/// The offset of the first newline in `bytes`. `BufRead::skip_until` on
+/// a slice is the standard library's `memchr`, which compares a word or
+/// more per step, where an iterator would compare a byte.
+fn find_newline(bytes: &[u8]) -> Option<usize> {
+    let mut rest = bytes;
+    let skipped = rest.skip_until(b'\n').unwrap_or(0);
+    (skipped > 0 && bytes[skipped - 1] == b'\n').then(|| skipped - 1)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::find_newline;
+
+    #[test]
+    fn find_newline_names_the_first_one() {
+        assert_eq!(find_newline(b""), None);
+        assert_eq!(find_newline(b"abc"), None);
+        assert_eq!(find_newline(b"\n"), Some(0));
+        assert_eq!(find_newline(b"ab\ncd\n"), Some(2));
+        let long = [vec![b'x'; 100_000], b"\r\n".to_vec()].concat();
+        assert_eq!(find_newline(&long), Some(100_001));
+    }
 }

@@ -262,3 +262,60 @@ fn leader_disconnect_promotes_the_follower() {
     handle.shutdown();
     handle.join();
 }
+
+/// The key is derived from the decoded content, not from the line: a
+/// repeat that orders its fields differently and escapes its text
+/// differently (`\u0070` for `p`, `\t` for a tab, a space before a
+/// colon) is still a hit, while a repeat whose content differs by one
+/// byte is not.
+#[test]
+fn a_differently_spelled_repeat_is_still_a_hit() {
+    use std::io::{BufRead, BufReader};
+    use std::net::TcpStream;
+
+    let handle = cached_server();
+    let addr = handle.local_endpoint().to_string();
+    let mut stream =
+        TcpStream::connect(addr.trim_start_matches("tcp:")).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut round_trip = |line: &str| -> satverifyd::JobResult {
+        stream.write_all(format!("{line}\n").as_bytes()).expect("write");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("read");
+        match Response::parse(reply.trim_end()).expect("parses") {
+            Response::Result(r) => r,
+            other => panic!("expected a result, got {other:?}"),
+        }
+    };
+    let warm_formula = format!("{XOR_SQUARE}c\ttab\n");
+    let warm = Request::Verify(VerifyRequest {
+        id: Some("warm".into()),
+        formula: Some(warm_formula),
+        proof: Some(XOR_PROOF.into()),
+        ..VerifyRequest::default()
+    });
+    assert!(warm.to_line().contains(r"c\ttab"));
+    assert_eq!(round_trip(&warm.to_line()).outcome, "verified");
+    spin_until(|| handle.stats().cache_misses == 1);
+
+    let respelled = concat!(
+        r#"{"proof" : "\u0032 0\n-2 0\n0\n", "id":"respelled", "#,
+        r#""formula":"\u0070 cnf 2 4\n1 2 0\n-1 -2 0\n1 -2 0\n-1 2 0\nc\u0009tab\n", "#,
+        r#""op":"verify"}"#,
+    );
+    let served = round_trip(respelled);
+    assert_eq!(served.outcome, "verified");
+    assert_eq!(served.id.as_deref(), Some("respelled"));
+    assert_eq!(handle.stats().cache_hits, 1, "the respelled repeat hit");
+    assert_eq!(handle.stats().verify_us.count, 1, "no second verification");
+
+    // one more byte of content is a different job
+    let changed = respelled.replace(r"-2 0\n0\n", r"-2 0\n0\n\n");
+    assert_eq!(round_trip(&changed).outcome, "verified");
+    assert_eq!(handle.stats().cache_hits, 1, "different content misses");
+    assert_eq!(handle.stats().cache_misses, 2);
+
+    drop(reader);
+    handle.shutdown();
+    handle.join();
+}

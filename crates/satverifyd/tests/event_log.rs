@@ -341,3 +341,53 @@ fn rejected_submissions_get_a_reason_and_no_timeline() {
         assert!(field_u64(rejected, "job").is_some(), "{id}: rejection names a job id");
     }
 }
+
+/// A job's end-to-end time starts when its line is complete, before the
+/// line is decoded: for a large inline hit, whose decode dominates its
+/// cost, the terminal event's `e2e_us` exceeds the span from the
+/// `received` event (emitted after the decode) to the terminal event.
+#[test]
+fn e2e_time_includes_the_decode_of_a_large_hit() {
+    let (log, buf) = captured_log();
+    let config = ServerConfig::default()
+        .workers(1)
+        .cache_enabled(true)
+        .event_log(Arc::clone(&log));
+    let handle = Server::bind(&Endpoint::tcp("127.0.0.1:0"), config).expect("bind");
+    let formula = format!("c {}\n{XOR_SQUARE}", "x".repeat(128 * 1024));
+    let job = |id: &str| {
+        Request::Verify(VerifyRequest {
+            id: Some(id.to_string()),
+            formula: Some(formula.clone()),
+            proof: Some(XOR_PROOF.to_string()),
+            ..VerifyRequest::default()
+        })
+    };
+    assert!(job("hit").to_line().len() >= 100 * 1024);
+    let mut client = Client::connect(&handle.local_endpoint()).expect("connect");
+    for id in ["warm", "hit"] {
+        match client.request(&job(id)).expect("verify") {
+            Response::Result(r) => assert_eq!(r.outcome, "verified", "{id}"),
+            other => panic!("expected a result, got {other:?}"),
+        }
+    }
+    assert_eq!(handle.stats().cache_hits, 1);
+    drop(client);
+    handle.shutdown();
+    handle.join();
+
+    let events = await_disconnects(&log, &buf, 1);
+    let steps = &timelines(&events)["hit"];
+    let event = |kind: &str| {
+        steps
+            .iter()
+            .find(|e| field_str(e, "event").as_deref() == Some(kind))
+            .unwrap_or_else(|| panic!("hit has a {kind} event"))
+    };
+    let terminal = event("verified");
+    assert_eq!(field_str(terminal, "served").as_deref(), Some("cache"));
+    let ts = |e: &Json| field_u64(e, "ts_us").expect("ts_us");
+    let gap = ts(terminal) - ts(event("received"));
+    let e2e = field_u64(terminal, "e2e_us").expect("e2e_us");
+    assert!(e2e > gap, "e2e_us {e2e} must cover the decode before `received` (+{gap} µs)");
+}
