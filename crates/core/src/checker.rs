@@ -19,15 +19,17 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 use bcp::{
-    ArenaWatchedPropagator, Attach, BudgetedPropagation, ClauseRef, ClauseStore,
-    Conflict, Fuel, Propagator, PropagatorChoice, Reason, Stopped,
-    WatchedPropagator,
+    Attach, BudgetedPropagation, ClauseRef, ClauseStore, Conflict, Fuel, Propagator, Reason,
+    Stopped, WatchedPropagator,
 };
-use cnf::{Clause, CnfFormula, Lit, Var};
+use cnf::{Clause, CnfFormula, Lit};
 
 use crate::core_extract::UnsatCore;
 use crate::error::VerifyError;
-use crate::harness::{Budget, Checkpoint, Harness, Outcome, Progress};
+use crate::harness::{
+    formula_fingerprint, proof_fingerprint, Budget, Checkpoint, Harness, Outcome, Progress,
+};
+use crate::kernel::Cone;
 use crate::proof::ConflictClauseProof;
 use crate::report::VerificationReport;
 
@@ -110,28 +112,6 @@ pub fn verify_all(
     proof: &ConflictClauseProof,
 ) -> Result<Verification, VerifyError> {
     Checker::new(formula, proof).run(CheckMode::All)
-}
-
-/// [`verify`]-family entry point with an explicit BCP engine: runs the
-/// selected procedure on the watched (`ClauseDb`) or arena-watched
-/// (`ClauseArena` + blocking literals) engine. Verdicts, marks, and
-/// cores are identical across engines.
-///
-/// # Errors
-///
-/// See [`verify`].
-pub fn verify_with_engine(
-    formula: &CnfFormula,
-    proof: &ConflictClauseProof,
-    mode: CheckMode,
-    engine: PropagatorChoice,
-) -> Result<Verification, VerifyError> {
-    match engine {
-        PropagatorChoice::Watched => Checker::new(formula, proof).run(mode),
-        PropagatorChoice::ArenaWatched => {
-            Checker::<ArenaWatchedPropagator>::with_engine(formula, proof).run(mode)
-        }
-    }
 }
 
 /// Verifies that `F ∪ F* ⊨ target`: each conflict clause of `proof` is
@@ -223,6 +203,7 @@ fn obs_handles() -> &'static ObsHandles {
 /// marks, and cores — only the propagation cost differs.
 #[derive(Debug)]
 pub struct Checker<'a, P: Propagator = WatchedPropagator> {
+    formula: &'a CnfFormula,
     proof: &'a ConflictClauseProof,
     db: P::Store,
     prop: P,
@@ -233,8 +214,8 @@ pub struct Checker<'a, P: Propagator = WatchedPropagator> {
     empties: Vec<ClauseRef>,
     /// Marked clauses, indexed by arena position.
     marked: Vec<bool>,
-    /// Scratch: variables touched by the current marking pass.
-    seen: Vec<bool>,
+    /// Scratch for the marking passes.
+    cone: Cone,
     num_original: usize,
 }
 
@@ -261,7 +242,7 @@ impl<'a, P: Propagator> Checker<'a, P> {
         let mut units = Vec::new();
         let mut empties = Vec::new();
 
-        // Only F is attached here; proof clauses are attached by `run`
+        // Only F is attached here; proof clauses are attached by the run
         // *after* the root propagation, so the lazy watch cleanup never
         // sees a proof clause while it is below the activity horizon it
         // will later rise above.
@@ -285,13 +266,14 @@ impl<'a, P: Propagator> Checker<'a, P> {
 
         let marked = vec![false; db.len()];
         Checker {
+            formula,
             proof,
             db,
             prop,
             units,
             empties,
             marked,
-            seen: vec![false; num_vars],
+            cone: Cone::new(num_vars),
             num_original: formula.num_clauses(),
         }
     }
@@ -310,125 +292,27 @@ impl<'a, P: Propagator> Checker<'a, P> {
     /// `target`: the final check assumes `¬target` and must conflict.
     /// With `target = None` this is ordinary refutation checking.
     ///
+    /// Both run the harnessed loop on an unlimited budget.
+    ///
     /// # Errors
     ///
     /// See [`verify`]; [`VerifyError::NotARefutation`] here means the
     /// target clause is not derivable by BCP from `F ∪ F*`.
     pub fn run_with_target(
-        mut self,
+        self,
         mode: CheckMode,
         target: Option<&Clause>,
     ) -> Result<Verification, VerifyError> {
-        let start = Instant::now();
-        let mut num_checked = 0usize;
-        // the target may mention variables beyond the formula's universe
-        if let Some(v) = target.and_then(Clause::max_var) {
-            self.prop.ensure_vars(v.idx() + 1);
-            if self.seen.len() <= v.idx() {
-                self.seen.resize(v.idx() + 1, false);
+        match self.run_harnessed(mode, target, &Harness::default(), None) {
+            Outcome::Verified(v) => Ok(v),
+            Outcome::Rejected { error, .. } => Err(error),
+            Outcome::Exhausted { reason, .. } => {
+                unreachable!("an unlimited budget cannot exhaust ({reason})")
             }
         }
-        let target_assumptions: Vec<Lit> = target
-            .map(|c| c.lits().iter().map(|&l| !l).collect())
-            .unwrap_or_default();
-
-        // Root level: the original formula is active in *every* check,
-        // so its units and their propagation cascade are established
-        // once, at decision level 0, and survive between checks — each
-        // check then only pays for the assumptions and the conflict
-        // clauses' contribution.
-        if let Some(conflict) = self.propagate_root() {
-            // F conflicts by unit propagation alone: every check would
-            // conflict on this same cone, so nothing else needs testing.
-            self.mark_from_conflict(conflict);
-            return Ok(self.finish(0, start));
-        }
-
-        // The terminal check: BCP over F ∪ F* under the negated target
-        // (no assumptions for a refutation) must conflict. This subsumes
-        // the paper's "mark the final conflicting pair" initialisation:
-        // the clauses responsible for the conflict become the initial
-        // marks. If a refutation proof ends with an explicit empty
-        // clause, this is exactly its check.
-        let terminal_limit = match self.proof.clauses().last() {
-            Some(c) if c.is_empty() && target.is_none() => {
-                self.num_original + self.proof.len() - 1
-            }
-            _ => self.num_original + self.proof.len(),
-        };
-
-        // Backward checking shrinks the active horizon monotonically, so
-        // all proof clauses can be watched up front (lazy cleanup sheds
-        // them as they are popped). Forward checking grows the horizon,
-        // which lazy cleanup cannot tolerate — each clause is attached
-        // only after its own check instead.
-        let forward = mode == CheckMode::AllForward;
-        if !forward {
-            for step in 0..self.proof.len() {
-                let r = ClauseRef::from_index(self.num_original + step);
-                self.attach_proof_clause(r);
-            }
-            match self.timed_check(&target_assumptions, terminal_limit) {
-                CheckOutcome::Conflict(conflict) => self.mark_from_conflict(conflict),
-                CheckOutcome::Tautology => {} // tautological target: trivially implied
-                CheckOutcome::NoConflict => return Err(VerifyError::NotARefutation),
-            }
-        }
-
-        // Pop F* in reverse chronological order (or walk it forward —
-        // §3: for all-clause checking the order does not matter).
-        let order: Vec<usize> = if forward {
-            (0..self.proof.len()).collect()
-        } else {
-            (0..self.proof.len()).rev().collect()
-        };
-        for step in order {
-            let arena_index = self.num_original + step;
-            let clause = &self.proof.clauses()[step];
-            let skip = if clause.is_empty() && arena_index == terminal_limit {
-                // the terminal check covers exactly this clause's check
-                true
-            } else {
-                // redundant conflict clauses are skipped in marked mode (§4)
-                mode == CheckMode::MarkedOnly && !self.marked[arena_index]
-            };
-            if !skip {
-                num_checked += 1;
-                // An empty clause mid-proof has the empty falsifying
-                // assignment: BCP over the *preceding* clauses alone must
-                // already conflict.
-                let assumptions: Vec<Lit> = clause.lits().iter().map(|&l| !l).collect();
-                match self.timed_check(&assumptions, arena_index) {
-                    CheckOutcome::Conflict(conflict) => self.mark_from_conflict(conflict),
-                    // A tautological conflict clause is trivially implied;
-                    // no clause of F or F* was needed, nothing new marked.
-                    CheckOutcome::Tautology => {}
-                    CheckOutcome::NoConflict => {
-                        return Err(VerifyError::NotImplied {
-                            step,
-                            clause: clause.clone(),
-                        })
-                    }
-                }
-            }
-            if forward {
-                let r = ClauseRef::from_index(arena_index);
-                self.attach_proof_clause(r);
-            }
-        }
-
-        if forward {
-            match self.timed_check(&target_assumptions, terminal_limit) {
-                CheckOutcome::Conflict(conflict) => self.mark_from_conflict(conflict),
-                CheckOutcome::Tautology => {} // tautological target
-                CheckOutcome::NoConflict => return Err(VerifyError::NotARefutation),
-            }
-        }
-
-        Ok(self.finish(num_checked, start))
     }
 
-    fn finish(&mut self, num_checked: usize, start: Instant) -> Verification {
+    fn finish(&mut self, num_checked: usize, start: Instant, fuel: &Fuel<'_>) -> Verification {
         let elapsed = start.elapsed();
         let core_indices: Vec<usize> =
             (0..self.num_original).filter(|&i| self.marked[i]).collect();
@@ -444,32 +328,10 @@ impl<'a, P: Propagator> Checker<'a, P> {
             proof_literals: self.proof.num_literals(),
             core_size: core.len(),
             verify_time: elapsed,
-            propagations: self.prop.trail().len() as u64, // final trail only
-            clause_visits: self.prop.num_clause_visits(),
+            propagations: fuel.used_propagations,
+            clause_visits: fuel.used_clause_visits,
         };
         Verification { report, core, marked_steps }
-    }
-
-    /// Establishes the permanent root level: the units of the original
-    /// formula and everything they propagate through `F` alone. Returns
-    /// a conflict if `F` refutes itself by propagation (including an
-    /// empty clause in `F`).
-    fn propagate_root(&mut self) -> Option<Conflict> {
-        let _span = obs::span!("proofver.root_propagate");
-        self.db.set_active_limit(Some(self.num_original));
-        if let Some(&r) = self.empties.iter().find(|r| r.index() < self.num_original) {
-            return Some(Conflict { clause: r });
-        }
-        for i in 0..self.units.len() {
-            let (r, l) = self.units[i];
-            if r.index() >= self.num_original {
-                continue;
-            }
-            if let Err(conflict) = self.prop.enqueue_propagated(l, r) {
-                return Some(conflict);
-            }
-        }
-        self.prop.propagate(&mut self.db)
     }
 
     /// Attaches one proof clause *after* the persistent root level is in
@@ -506,62 +368,24 @@ impl<'a, P: Propagator> Checker<'a, P> {
         }
     }
 
-    /// [`Checker::bcp_under_assumptions`] with per-check telemetry:
-    /// counts the check and records its duration when metric recording
-    /// is on.
-    fn timed_check(&mut self, assumptions: &[Lit], limit: usize) -> CheckOutcome {
-        if !obs::metrics::recording() {
-            return self.bcp_under_assumptions(assumptions, limit);
+    /// Attaches every proof clause: backward checking shrinks the active
+    /// horizon monotonically, so all of `F*` can be watched up front
+    /// (lazy cleanup sheds clauses as they are popped).
+    fn attach_proof(&mut self) {
+        for step in 0..self.proof.len() {
+            self.attach_proof_clause(ClauseRef::from_index(self.num_original + step));
         }
-        let handles = obs_handles();
-        let start = Instant::now();
-        let outcome = self.bcp_under_assumptions(assumptions, limit);
-        handles.checks.inc();
-        handles.check_ns.record(start.elapsed().as_nanos() as u64);
-        outcome
     }
 
-    /// One verification check: assume the given literals, enqueue the
-    /// active unit clauses of `F*`, and propagate over the clauses with
-    /// arena index `< limit`. `F`'s contribution persists at the root
-    /// level from [`Checker::propagate_root`].
-    fn bcp_under_assumptions(&mut self, assumptions: &[Lit], limit: usize) -> CheckOutcome {
-        self.db.set_active_limit(Some(limit));
-        // An active empty clause conflicts before any propagation.
-        // (Empty clauses of F were handled by the root propagation.)
-        if let Some(&r) = self.empties.iter().find(|r| r.index() < limit) {
-            return CheckOutcome::Conflict(Conflict { clause: r });
-        }
-        self.prop.backtrack_to(0);
-        self.prop.push_level();
-        for &l in assumptions {
-            if !self.prop.assume(l) {
-                // ¬l is already true: either by an earlier assumption of
-                // this very check — the clause under test is a tautology,
-                // trivially implied with no clause involved — or by the
-                // persistent root propagation of F, in which case the
-                // falsifying assignment conflicts with ¬l's reason clause.
-                return match self.prop.reason(l.var()) {
-                    Reason::Propagated(r) => {
-                        CheckOutcome::Conflict(Conflict { clause: r })
-                    }
-                    _ => CheckOutcome::Tautology,
-                };
+    /// The arena index below which the terminal check propagates: the
+    /// whole of `F ∪ F*`, except a refutation's trailing empty clause,
+    /// whose check the terminal check is.
+    fn terminal_limit(&self, target: Option<&Clause>) -> usize {
+        match self.proof.clauses().last() {
+            Some(c) if c.is_empty() && target.is_none() => {
+                self.num_original + self.proof.len() - 1
             }
-        }
-        for i in 0..self.units.len() {
-            let (r, l) = self.units[i];
-            if r.index() < self.num_original || r.index() >= limit || self.db.is_deleted(r)
-            {
-                continue;
-            }
-            if let Err(conflict) = self.prop.enqueue_propagated(l, r) {
-                return CheckOutcome::Conflict(conflict);
-            }
-        }
-        match self.prop.propagate(&mut self.db) {
-            Some(conflict) => CheckOutcome::Conflict(conflict),
-            None => CheckOutcome::NoConflict,
+            _ => self.num_original + self.proof.len(),
         }
     }
 
@@ -573,57 +397,32 @@ impl<'a, P: Propagator> Checker<'a, P> {
         if obs::metrics::recording() {
             obs_handles().marking_passes.inc();
         }
-        self.marked[conflict.clause.index()] = true;
-        let mut touched: Vec<Var> = Vec::new();
-        for &q in self.db.lits(conflict.clause) {
-            if !self.seen[q.var().idx()] {
-                self.seen[q.var().idx()] = true;
-                touched.push(q.var());
-            }
-        }
-        for idx in (0..self.prop.trail().len()).rev() {
-            let lit = self.prop.trail()[idx];
-            if !self.seen[lit.var().idx()] {
-                continue;
-            }
-            match self.prop.reason(lit.var()) {
-                // assumption literals belong to the clause under test
-                Reason::Assumed | Reason::Decision => {}
-                Reason::Propagated(c) => {
-                    self.marked[c.index()] = true;
-                    for &q in self.db.lits(c) {
-                        if q != lit && !self.seen[q.var().idx()] {
-                            self.seen[q.var().idx()] = true;
-                            touched.push(q.var());
-                        }
-                    }
-                }
-            }
-        }
-        for v in touched {
-            self.seen[v.idx()] = false;
-        }
+        self.cone.mark(&self.prop, &self.db, conflict, &mut self.marked, None);
     }
 }
 
-/// The harnessed (budgeted, cancellable, resumable) verification loop.
+/// The verification loop: budgeted, cancellable and resumable.
 ///
-/// Structure mirrors [`Checker::run_with_target`] — refutation targets
-/// only — but every propagation runs on metered [`Fuel`], checks happen
-/// at interruptible boundaries, and an interruption yields a
-/// [`Checkpoint`] instead of discarding the work done so far.
+/// Every propagation runs on metered [`Fuel`], checks happen at
+/// interruptible boundaries, and an interruption yields a
+/// [`Checkpoint`] instead of discarding the work done so far. An
+/// unlimited budget makes it the plain [`Checker::run`].
 ///
 /// Checkpoint discipline: marks and `num_checked` are updated only when
 /// a check *completes*; an interrupted check leaves no trace and is
 /// redone on resume. Checkpoints therefore always describe a state the
 /// uninterrupted run also passes through.
 impl<'a, P: Propagator> Checker<'a, P> {
+    /// Runs `mode` under `harness`, from `resume` when given. With a
+    /// `target`, the terminal check assumes `¬target` instead of
+    /// requiring a root conflict; a checkpoint does not record the
+    /// target, so a target run only ever gets an unlimited budget.
     pub(crate) fn run_harnessed(
         mut self,
         mode: CheckMode,
+        target: Option<&Clause>,
         harness: &Harness,
         resume: Option<&Checkpoint>,
-        fingerprints: (u64, u64),
     ) -> Outcome {
         let start = Instant::now();
         let steps_total = self.proof.len();
@@ -661,14 +460,30 @@ impl<'a, P: Propagator> Checker<'a, P> {
             self.marked.copy_from_slice(&ckpt.marks);
         }
 
-        // Root propagation runs on every (re)start — it reconstructs the
-        // persistent level-0 state and is charged against the budget like
-        // any other work.
+        // the target may mention variables beyond the formula's universe
+        if let Some(v) = target.and_then(Clause::max_var) {
+            self.prop.ensure_vars(v.idx() + 1);
+            self.cone.ensure_vars(v.idx() + 1);
+        }
+        let target_assumptions: Vec<Lit> = target
+            .map(|c| c.lits().iter().map(|&l| !l).collect())
+            .unwrap_or_default();
+
+        // Root level: the original formula is active in *every* check,
+        // so its units and their propagation cascade are established
+        // once, at decision level 0, and survive between checks — each
+        // check then only pays for the assumptions and the conflict
+        // clauses' contribution. Root propagation runs on every
+        // (re)start and is charged against the budget like any other
+        // work.
         match self.propagate_root_budgeted(&mut fuel) {
             Ok(None) => {}
             Ok(Some(conflict)) => {
+                // F conflicts by unit propagation alone: every check
+                // would conflict on this same cone, so nothing else
+                // needs testing.
                 self.mark_from_conflict(conflict);
-                return Outcome::Verified(self.finish(num_checked, start));
+                return Outcome::Verified(self.finish(num_checked, start, &fuel));
             }
             Err(stopped) => {
                 return self.exhausted_outcome(
@@ -678,15 +493,24 @@ impl<'a, P: Propagator> Checker<'a, P> {
                     start_pos,
                     num_checked,
                     &fuel,
-                    fingerprints,
+                    resume,
                 );
             }
         }
 
-        let terminal_limit = match self.proof.clauses().last() {
-            Some(c) if c.is_empty() => self.num_original + steps_total - 1,
-            _ => self.num_original + steps_total,
-        };
+        // The terminal check: BCP over F ∪ F* under the negated target
+        // (no assumptions for a refutation) must conflict. This subsumes
+        // the paper's "mark the final conflicting pair" initialisation:
+        // the clauses responsible for the conflict become the initial
+        // marks. If a refutation proof ends with an explicit empty
+        // clause, this is exactly its check.
+        let terminal_limit = self.terminal_limit(target);
+
+        // Pop F* in reverse chronological order (or walk it forward —
+        // §3: for all-clause checking the order does not matter).
+        // Forward checking grows the active horizon, which lazy cleanup
+        // cannot tolerate — each clause is attached only after its own
+        // check instead.
         let forward = mode == CheckMode::AllForward;
         let order: Vec<usize> = if forward {
             (0..steps_total).collect()
@@ -695,18 +519,11 @@ impl<'a, P: Propagator> Checker<'a, P> {
         };
 
         if !forward {
-            for step in 0..steps_total {
-                let r = ClauseRef::from_index(self.num_original + step);
-                self.attach_proof_clause(r);
-            }
+            self.attach_proof();
             if !terminal_done {
-                match self.timed_check_budgeted(&[], terminal_limit, &mut fuel)
-                {
-                    Ok(CheckOutcome::Conflict(c)) => self.mark_from_conflict(c),
-                    Ok(CheckOutcome::Tautology) => {
-                        unreachable!("no assumptions, no clash")
-                    }
-                    Ok(CheckOutcome::NoConflict) => {
+                match self.terminal_check(&target_assumptions, terminal_limit, &mut fuel) {
+                    Ok(true) => terminal_done = true,
+                    Ok(false) => {
                         return Outcome::Rejected {
                             step: None,
                             error: VerifyError::NotARefutation,
@@ -720,11 +537,10 @@ impl<'a, P: Propagator> Checker<'a, P> {
                             start_pos,
                             num_checked,
                             &fuel,
-                            fingerprints,
+                            resume,
                         )
                     }
                 }
-                terminal_done = true;
             }
         } else {
             // Reconstruct forward-mode state: clauses visited before the
@@ -742,9 +558,13 @@ impl<'a, P: Propagator> Checker<'a, P> {
                 // the terminal check covers exactly this clause's check
                 true
             } else {
+                // redundant conflict clauses are skipped in marked mode (§4)
                 mode == CheckMode::MarkedOnly && !self.marked[arena_index]
             };
             if !skip {
+                // An empty clause mid-proof has the empty falsifying
+                // assignment: BCP over the *preceding* clauses alone must
+                // already conflict.
                 let assumptions: Vec<Lit> =
                     clause.lits().iter().map(|&l| !l).collect();
                 match self.timed_check_budgeted(
@@ -756,6 +576,9 @@ impl<'a, P: Propagator> Checker<'a, P> {
                         num_checked += 1;
                         self.mark_from_conflict(conflict);
                     }
+                    // A tautological conflict clause is trivially
+                    // implied; no clause of F or F* was needed, nothing
+                    // new marked.
                     Ok(CheckOutcome::Tautology) => num_checked += 1,
                     Ok(CheckOutcome::NoConflict) => {
                         return Outcome::Rejected {
@@ -774,7 +597,7 @@ impl<'a, P: Propagator> Checker<'a, P> {
                             pos,
                             num_checked,
                             &fuel,
-                            fingerprints,
+                            resume,
                         )
                     }
                 }
@@ -786,10 +609,9 @@ impl<'a, P: Propagator> Checker<'a, P> {
         }
 
         if forward && !terminal_done {
-            match self.timed_check_budgeted(&[], terminal_limit, &mut fuel) {
-                Ok(CheckOutcome::Conflict(c)) => self.mark_from_conflict(c),
-                Ok(CheckOutcome::Tautology) => {}
-                Ok(CheckOutcome::NoConflict) => {
+            match self.terminal_check(&target_assumptions, terminal_limit, &mut fuel) {
+                Ok(true) => {}
+                Ok(false) => {
                     return Outcome::Rejected {
                         step: None,
                         error: VerifyError::NotARefutation,
@@ -803,13 +625,13 @@ impl<'a, P: Propagator> Checker<'a, P> {
                         order.len(),
                         num_checked,
                         &fuel,
-                        fingerprints,
+                        resume,
                     )
                 }
             }
         }
 
-        Outcome::Verified(self.finish(num_checked, start))
+        Outcome::Verified(self.finish(num_checked, start, &fuel))
     }
 
     /// Checks the given steps under a private per-worker budget, with a
@@ -828,19 +650,11 @@ impl<'a, P: Propagator> Checker<'a, P> {
             Ok(None) => {}
             Ok(Some(conflict)) => {
                 self.mark_from_conflict(conflict);
-                return WorkerOutcome::Done {
-                    marks: self.marked,
-                    checked: 0,
-                    propagations: fuel.used_propagations,
-                    clause_visits: fuel.used_clause_visits,
-                };
+                return self.worker_done(0, &fuel);
             }
             Err(stopped) => return WorkerOutcome::Interrupted(stopped),
         }
-        for step in 0..self.proof.len() {
-            let r = ClauseRef::from_index(self.num_original + step);
-            self.attach_proof_clause(r);
-        }
+        self.attach_proof();
         steps.sort_unstable_by(|a, b| b.cmp(a));
         let mut num_checked = 0usize;
         for step in steps {
@@ -864,15 +678,10 @@ impl<'a, P: Propagator> Checker<'a, P> {
                 Err(stopped) => return WorkerOutcome::Interrupted(stopped),
             }
         }
-        WorkerOutcome::Done {
-            marks: self.marked,
-            checked: num_checked,
-            propagations: fuel.used_propagations,
-            clause_visits: fuel.used_clause_visits,
-        }
+        self.worker_done(num_checked, &fuel)
     }
 
-    /// Budgeted version of [`Checker::check_terminal`] for the harnessed
+    /// The terminal check alone, under a private budget, for the
     /// parallel checker.
     pub(crate) fn check_terminal_budgeted(
         mut self,
@@ -885,40 +694,25 @@ impl<'a, P: Propagator> Checker<'a, P> {
             Ok(None) => {}
             Ok(Some(conflict)) => {
                 self.mark_from_conflict(conflict);
-                return WorkerOutcome::Done {
-                    marks: self.marked,
-                    checked: 0,
-                    propagations: fuel.used_propagations,
-                    clause_visits: fuel.used_clause_visits,
-                };
+                return self.worker_done(0, &fuel);
             }
             Err(stopped) => return WorkerOutcome::Interrupted(stopped),
         }
-        let terminal_limit = match self.proof.clauses().last() {
-            Some(c) if c.is_empty() => self.num_original + self.proof.len() - 1,
-            _ => self.num_original + self.proof.len(),
-        };
-        for step in 0..self.proof.len() {
-            let r = ClauseRef::from_index(self.num_original + step);
-            self.attach_proof_clause(r);
-        }
-        match self.timed_check_budgeted(&[], terminal_limit, &mut fuel) {
-            Ok(CheckOutcome::Conflict(conflict)) => {
-                self.mark_from_conflict(conflict);
-                WorkerOutcome::Done {
-                    marks: self.marked,
-                    checked: 0,
-                    propagations: fuel.used_propagations,
-                    clause_visits: fuel.used_clause_visits,
-                }
-            }
-            Ok(CheckOutcome::Tautology) => {
-                unreachable!("no assumptions, no clash")
-            }
-            Ok(CheckOutcome::NoConflict) => {
-                WorkerOutcome::Failed(VerifyError::NotARefutation)
-            }
+        let terminal_limit = self.terminal_limit(None);
+        self.attach_proof();
+        match self.terminal_check(&[], terminal_limit, &mut fuel) {
+            Ok(true) => self.worker_done(0, &fuel),
+            Ok(false) => WorkerOutcome::Failed(VerifyError::NotARefutation),
             Err(stopped) => WorkerOutcome::Interrupted(stopped),
+        }
+    }
+
+    fn worker_done(self, checked: usize, fuel: &Fuel<'_>) -> WorkerOutcome {
+        WorkerOutcome::Done {
+            marks: self.marked,
+            checked,
+            propagations: fuel.used_propagations,
+            clause_visits: fuel.used_clause_visits,
         }
     }
 
@@ -928,6 +722,10 @@ impl<'a, P: Propagator> Checker<'a, P> {
         (self.db.arena_len() * std::mem::size_of::<Lit>()) as u64
     }
 
+    /// The outcome of a run that stopped at a check boundary, with its
+    /// checkpoint. A fresh run fingerprints its inputs here; a resumed
+    /// run reuses the fingerprints of the checkpoint it was validated
+    /// against.
     #[allow(clippy::too_many_arguments)]
     fn exhausted_outcome(
         &self,
@@ -937,8 +735,12 @@ impl<'a, P: Propagator> Checker<'a, P> {
         next_pos: usize,
         num_checked: usize,
         fuel: &Fuel<'_>,
-        fingerprints: (u64, u64),
+        resume: Option<&Checkpoint>,
     ) -> Outcome {
+        let (formula_hash, proof_hash) = resume.map_or_else(
+            || (formula_fingerprint(self.formula), proof_fingerprint(self.proof)),
+            |c| (c.formula_hash, c.proof_hash),
+        );
         Outcome::Exhausted {
             reason: stopped.into(),
             progress: Progress {
@@ -949,9 +751,9 @@ impl<'a, P: Propagator> Checker<'a, P> {
             },
             checkpoint: Some(Box::new(Checkpoint {
                 mode,
-                formula_hash: fingerprints.0,
+                formula_hash,
                 formula_clauses: self.num_original,
-                proof_hash: fingerprints.1,
+                proof_hash,
                 proof_clauses: self.proof.len(),
                 terminal_done,
                 next_pos,
@@ -963,8 +765,29 @@ impl<'a, P: Propagator> Checker<'a, P> {
         }
     }
 
-    /// [`Checker::bcp_under_assumptions_budgeted`] with the same
-    /// telemetry as [`Checker::timed_check`].
+    /// The terminal check over the arena below `limit` under
+    /// `assumptions`; marks its cone. `Ok(false)`: no conflict, so the
+    /// proof derives neither the empty clause nor the target.
+    fn terminal_check(
+        &mut self,
+        assumptions: &[Lit],
+        limit: usize,
+        fuel: &mut Fuel<'_>,
+    ) -> Result<bool, Stopped> {
+        Ok(match self.timed_check_budgeted(assumptions, limit, fuel)? {
+            CheckOutcome::Conflict(conflict) => {
+                self.mark_from_conflict(conflict);
+                true
+            }
+            // a tautological target is implied with no clause involved
+            CheckOutcome::Tautology => true,
+            CheckOutcome::NoConflict => false,
+        })
+    }
+
+    /// [`Checker::bcp_under_assumptions_budgeted`] with per-check
+    /// telemetry: counts the check and records its duration when metric
+    /// recording is on.
     fn timed_check_budgeted(
         &mut self,
         assumptions: &[Lit],
@@ -983,10 +806,14 @@ impl<'a, P: Propagator> Checker<'a, P> {
         outcome
     }
 
-    /// [`Checker::bcp_under_assumptions`] on metered fuel. `Err` means
-    /// the budget ran out (or the run was cancelled) before the check
-    /// could complete; the engine is left backtrackable but the check
-    /// produced no verdict and must be redone.
+    /// One verification check on metered fuel: assume the given
+    /// literals, enqueue the active unit clauses of `F*`, and propagate
+    /// over the clauses with arena index `< limit`. `F`'s contribution
+    /// persists at the root level from
+    /// [`Checker::propagate_root_budgeted`]. `Err` means the budget ran
+    /// out (or the run was cancelled) before the check could complete;
+    /// the engine is left backtrackable but the check produced no
+    /// verdict and must be redone.
     fn bcp_under_assumptions_budgeted(
         &mut self,
         assumptions: &[Lit],
@@ -999,6 +826,8 @@ impl<'a, P: Propagator> Checker<'a, P> {
             return Err(stopped);
         }
         self.db.set_active_limit(Some(limit));
+        // An active empty clause conflicts before any propagation.
+        // (Empty clauses of F were handled by the root propagation.)
         if let Some(&r) = self.empties.iter().find(|r| r.index() < limit) {
             return Ok(CheckOutcome::Conflict(Conflict { clause: r }));
         }
@@ -1006,6 +835,11 @@ impl<'a, P: Propagator> Checker<'a, P> {
         self.prop.push_level();
         for &l in assumptions {
             if !self.prop.assume(l) {
+                // ¬l is already true: either by an earlier assumption of
+                // this very check — the clause under test is a tautology,
+                // trivially implied with no clause involved — or by the
+                // persistent root propagation of F, in which case the
+                // falsifying assignment conflicts with ¬l's reason clause.
                 return Ok(match self.prop.reason(l.var()) {
                     Reason::Propagated(r) => {
                         CheckOutcome::Conflict(Conflict { clause: r })
@@ -1033,7 +867,10 @@ impl<'a, P: Propagator> Checker<'a, P> {
         }
     }
 
-    /// [`Checker::propagate_root`] on metered fuel.
+    /// Establishes the permanent root level on metered fuel: the units
+    /// of the original formula and everything they propagate through
+    /// `F` alone. Returns a conflict if `F` refutes itself by
+    /// propagation (including an empty clause in `F`).
     fn propagate_root_budgeted(
         &mut self,
         fuel: &mut Fuel<'_>,
@@ -1424,6 +1261,89 @@ mod tests {
             }
             assert!(resumed_runs > 3, "budget walk exercised resumption ({mode:?})");
         }
+    }
+
+    /// The php(2) refutation, enough work to interrupt mid-run.
+    fn php2() -> (CnfFormula, ConflictClauseProof) {
+        let formula = f(&[
+            vec![1, 2],
+            vec![3, 4],
+            vec![5, 6],
+            vec![-1, -3],
+            vec![-1, -5],
+            vec![-3, -5],
+            vec![-2, -4],
+            vec![-2, -6],
+            vec![-4, -6],
+        ]);
+        (formula, proof(&[vec![-1, -4], vec![-1], vec![-3], vec![5], vec![]]))
+    }
+
+    #[test]
+    fn reported_propagations_are_the_ones_the_budget_counts() {
+        use crate::harness::{
+            verify_harnessed, Budget, ExhaustReason, Harness, Outcome,
+        };
+        let (formula, p) = php2();
+        for mode in [CheckMode::MarkedOnly, CheckMode::All, CheckMode::AllForward] {
+            let v = Checker::new(&formula, &p).run(mode).expect("valid proof");
+            let spent = v.report.propagations;
+            assert!(spent > 1, "{mode:?} propagates");
+            let capped = |cap| {
+                verify_harnessed(
+                    &formula,
+                    &p,
+                    mode,
+                    &Harness::with_budget(Budget::unlimited().max_propagations(cap)),
+                )
+            };
+            match capped(spent - 1) {
+                Outcome::Exhausted { reason, progress, .. } => {
+                    assert_eq!(reason, ExhaustReason::Propagations, "{mode:?}");
+                    assert_eq!(progress.propagations, spent - 1, "{mode:?}");
+                }
+                other => panic!("{mode:?}: {spent} propagations fit in fewer: {other:?}"),
+            }
+            let within = capped(spent + 1);
+            let w = within
+                .verified()
+                .unwrap_or_else(|| panic!("{mode:?}: {spent} propagations fit in more"));
+            assert_eq!(w.report.propagations, spent, "{mode:?}");
+            assert_eq!(w.report.clause_visits, v.report.clause_visits, "{mode:?}");
+            assert_eq!(w.marked_steps, v.marked_steps, "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn an_exhausted_run_fingerprints_its_inputs_and_resumes() {
+        use crate::harness::{
+            formula_fingerprint, proof_fingerprint, resume_verification,
+            verify_harnessed, Budget, Harness, Outcome,
+        };
+        let (formula, p) = php2();
+        let expected = verify(&formula, &p).expect("valid proof");
+        let stop = Harness::with_budget(Budget::unlimited().max_propagations(3));
+        let Outcome::Exhausted { checkpoint: Some(ckpt), .. } =
+            verify_harnessed(&formula, &p, CheckMode::MarkedOnly, &stop)
+        else {
+            panic!("three propagations cannot finish php(2)");
+        };
+        assert_eq!(ckpt.formula_hash, formula_fingerprint(&formula));
+        assert_eq!(ckpt.proof_hash, proof_fingerprint(&p));
+        // a resumed run that stops again hands the same fingerprints on
+        let again = Harness::with_budget(Budget::unlimited().max_propagations(4));
+        let Ok(Outcome::Exhausted { checkpoint: Some(next), .. }) =
+            resume_verification(&formula, &p, &ckpt, &again)
+        else {
+            panic!("one more propagation cannot finish php(2)");
+        };
+        assert_eq!((next.formula_hash, next.proof_hash), (ckpt.formula_hash, ckpt.proof_hash));
+        let resumed = resume_verification(&formula, &p, &next, &Harness::default())
+            .expect("checkpoint matches inputs");
+        let v = resumed.verified().expect("the resumed run verifies");
+        assert!(v.report.semantically_eq(&expected.report));
+        assert_eq!(v.core.indices(), expected.core.indices());
+        assert_eq!(v.marked_steps, expected.marked_steps);
     }
 
     #[test]

@@ -11,18 +11,20 @@
 //! An [`AnnotatedProof`] is a sequence of [`ProofEvent`]s — clause
 //! additions (conflict clauses, chronological) interleaved with
 //! deletions (referring to earlier clauses, original or learned).
-//! Verification walks the events *backward*: deletions encountered while
-//! walking back resurrect their clause, additions deactivate and check
-//! theirs.
+//! Verification is the backward DRAT walk of [`crate::drat`] on the
+//! shared kernel: deletions encountered while walking back resurrect
+//! their clause, additions deactivate and check theirs. Two rules set it
+//! apart from DRAT: a deletion removes the clause its reference names,
+//! not the most recent clause with its content, and every addition must
+//! be RUP — there is no RAT fallback.
 
-use bcp::{
-    ArenaWatchedPropagator, Attach, ClauseRef, ClauseStore, Conflict, Propagator,
-    PropagatorChoice, Reason, WatchedPropagator,
-};
-use cnf::{Clause, CnfFormula, Lit};
+use bcp::{ClauseRef, WatchedPropagator};
+use cnf::{Clause, CnfFormula};
 
 use crate::core_extract::UnsatCore;
+use crate::drat::{BackwardWalk, DratError, DratOutcome, WalkProof};
 use crate::error::VerifyError;
+use crate::harness::Harness;
 
 /// One event of an annotated proof.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -101,39 +103,69 @@ impl AnnotatedProof {
     /// point, and the marked original clauses form an unsatisfiable
     /// core.
     ///
+    /// This is the backward DRAT walk ([`crate::verify_drat_backward`])
+    /// with two differences: each deletion removes the clause its
+    /// [`ProofClauseRef`] names — of two equal clauses, the one it
+    /// refers to — and every addition must be RUP, with no RAT fallback.
+    ///
     /// # Errors
     ///
     /// See [`crate::verify`]; additionally each check uses the smaller,
     /// deletion-accurate active set, so proofs that exploited deleted
     /// clauses are (correctly) rejected.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a deletion names an original clause the formula does
+    /// not have.
     pub fn verify(
         &self,
         formula: &CnfFormula,
     ) -> Result<AnnotatedVerification, VerifyError> {
-        self.verify_with_engine(formula, PropagatorChoice::Watched)
+        let mut walk = BackwardWalk::<WatchedPropagator, _>::new(formula, self, false);
+        for event in &self.events {
+            match *event {
+                ProofEvent::Add(ref clause) => {
+                    walk.add(clause);
+                }
+                ProofEvent::Delete(ProofClauseRef::Original(i)) => {
+                    assert!(
+                        i < formula.num_clauses(),
+                        "delete of out-of-range original clause {i}"
+                    );
+                    walk.delete(ClauseRef::from_index(i));
+                }
+                ProofEvent::Delete(ProofClauseRef::Learned(j)) => {
+                    walk.delete(walk.added_ref(j));
+                }
+            }
+        }
+        match walk.run(&Harness::default()) {
+            Ok(walked) => Ok(AnnotatedVerification {
+                core: walk.core(),
+                num_checked: walked.num_checked,
+                marked_adds: walk.marked_adds(),
+            }),
+            Err(DratOutcome::Rejected { error: DratError::NotImplied { step, clause }, .. }) => {
+                Err(VerifyError::NotImplied { step, clause })
+            }
+            Err(DratOutcome::Rejected { error: DratError::NotARefutation, .. }) => {
+                Err(VerifyError::NotARefutation)
+            }
+            Err(other) => unreachable!("an unlimited RUP walk by reference gave {other:?}"),
+        }
+    }
+}
+
+impl WalkProof for AnnotatedProof {
+    fn num_steps(&self) -> usize {
+        self.events.len()
     }
 
-    /// [`AnnotatedProof::verify`] on an explicitly chosen BCP engine.
-    ///
-    /// The backward walk *undeletes* clauses, so the arena engine runs
-    /// without compaction here (compaction would drop garbage bodies the
-    /// walk still needs to resurrect).
-    ///
-    /// # Errors
-    ///
-    /// See [`AnnotatedProof::verify`].
-    pub fn verify_with_engine(
-        &self,
-        formula: &CnfFormula,
-        engine: PropagatorChoice,
-    ) -> Result<AnnotatedVerification, VerifyError> {
-        match engine {
-            PropagatorChoice::Watched => {
-                DeletionChecker::<WatchedPropagator>::new(formula, self).run()
-            }
-            PropagatorChoice::ArenaWatched => {
-                DeletionChecker::<ArenaWatchedPropagator>::new(formula, self).run()
-            }
+    fn added(&self, pos: usize) -> Option<&Clause> {
+        match &self.events[pos] {
+            ProofEvent::Add(clause) => Some(clause),
+            ProofEvent::Delete(_) => None,
         }
     }
 }
@@ -145,235 +177,9 @@ pub struct AnnotatedVerification {
     pub core: UnsatCore,
     /// Added clauses actually checked.
     pub num_checked: usize,
-    /// For each *add* event (in order), whether it was marked.
+    /// For each *add* event (in order), whether it was marked. A
+    /// trailing empty clause, the claim itself, stays unmarked.
     pub marked_adds: Vec<bool>,
-}
-
-enum Outcome {
-    Conflict(Conflict),
-    Tautology,
-    NoConflict,
-}
-
-struct DeletionChecker<'a, P: Propagator> {
-    proof: &'a AnnotatedProof,
-    db: P::Store,
-    prop: P,
-    /// arena ref of each add event (indexed by add order)
-    add_refs: Vec<ClauseRef>,
-    /// unit clauses (arena ref, literal); liveness via `db.is_deleted`
-    units: Vec<(ClauseRef, Lit)>,
-    empties: Vec<ClauseRef>,
-    marked: Vec<bool>,
-    seen: Vec<bool>,
-    num_original: usize,
-}
-
-impl<'a, P: Propagator> DeletionChecker<'a, P> {
-    fn new(formula: &CnfFormula, proof: &'a AnnotatedProof) -> Self {
-        let max_proof_var = proof
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                ProofEvent::Add(c) => c.max_var(),
-                ProofEvent::Delete(_) => None,
-            })
-            .max();
-        let num_vars = formula
-            .num_vars()
-            .max(max_proof_var.map_or(0, |v| v.idx() + 1));
-        let mut db = P::Store::new();
-        let mut prop = P::new(num_vars);
-        let mut units = Vec::new();
-        let mut empties = Vec::new();
-
-        for clause in formula.iter() {
-            let r = db.add_clause(clause.lits(), false);
-            match prop.attach_clause(&mut db, r) {
-                Attach::Watched => {}
-                Attach::Unit(l) => units.push((r, l)),
-                Attach::Empty => empties.push(r),
-            }
-        }
-        let mut add_refs = Vec::new();
-        for event in &proof.events {
-            match event {
-                ProofEvent::Add(clause) => {
-                    let r = db.add_clause(clause.lits(), true);
-                    match prop.attach_clause(&mut db, r) {
-                        Attach::Watched => {}
-                        Attach::Unit(l) => units.push((r, l)),
-                        Attach::Empty => empties.push(r),
-                    }
-                    add_refs.push(r);
-                }
-                ProofEvent::Delete(target) => {
-                    let r = resolve(*target, formula.num_clauses(), &add_refs);
-                    // detach eagerly so a later (backward-walk)
-                    // re-attach cannot duplicate watch entries
-                    prop.detach_clause(&db, r);
-                    db.delete_clause(r);
-                }
-            }
-        }
-        let marked = vec![false; db.len()];
-        DeletionChecker {
-            proof,
-            db,
-            prop,
-            add_refs,
-            units,
-            empties,
-            marked,
-            seen: vec![false; num_vars],
-            num_original: formula.num_clauses(),
-        }
-    }
-
-    fn run(mut self) -> Result<AnnotatedVerification, VerifyError> {
-        let mut num_checked = 0usize;
-
-        // A trailing empty clause is the claim being established — it
-        // must not witness its own check. Deactivate it up front; the
-        // terminal check below (over everything before it) is exactly
-        // its check.
-        if let Some(&last) = self.add_refs.last() {
-            if self.db.clause_len(last) == 0 && !self.db.is_deleted(last) {
-                self.db.delete_clause(last);
-            }
-        }
-
-        // Terminal check over the final live set.
-        match self.bcp_under_assumptions(&[]) {
-            Outcome::Conflict(conflict) => self.mark_from_conflict(conflict),
-            Outcome::Tautology => unreachable!("no assumptions, no clash"),
-            Outcome::NoConflict => return Err(VerifyError::NotARefutation),
-        }
-
-        // Walk events backward.
-        let mut add_index = self.add_refs.len();
-        for event_pos in (0..self.proof.events.len()).rev() {
-            match &self.proof.events[event_pos] {
-                ProofEvent::Delete(target) => {
-                    // stepping back across a deletion resurrects the clause
-                    let r = resolve(*target, self.num_original, &self.add_refs);
-                    self.db.undelete_clause(r);
-                    if self.db.clause_len(r) >= 2 {
-                        self.prop.attach_clause(&mut self.db, r);
-                    }
-                }
-                ProofEvent::Add(clause) => {
-                    add_index -= 1;
-                    let r = self.add_refs[add_index];
-                    // deactivate the clause being checked
-                    if !self.db.is_deleted(r) {
-                        self.prop.detach_clause(&self.db, r);
-                        self.db.delete_clause(r);
-                    }
-                    let step_marked = self.marked[r.index()];
-                    let is_trailing_empty =
-                        clause.is_empty() && add_index == self.add_refs.len() - 1;
-                    if is_trailing_empty || !step_marked {
-                        continue;
-                    }
-                    num_checked += 1;
-                    let assumptions: Vec<Lit> =
-                        clause.lits().iter().map(|&l| !l).collect();
-                    match self.bcp_under_assumptions(&assumptions) {
-                        Outcome::Conflict(conflict) => self.mark_from_conflict(conflict),
-                        Outcome::Tautology => {}
-                        Outcome::NoConflict => {
-                            return Err(VerifyError::NotImplied {
-                                step: add_index,
-                                clause: clause.clone(),
-                            })
-                        }
-                    }
-                }
-            }
-        }
-
-        let core_indices: Vec<usize> =
-            (0..self.num_original).filter(|&i| self.marked[i]).collect();
-        let marked_adds: Vec<bool> =
-            self.add_refs.iter().map(|r| self.marked[r.index()]).collect();
-        Ok(AnnotatedVerification {
-            core: UnsatCore::new(core_indices, self.num_original),
-            num_checked,
-            marked_adds,
-        })
-    }
-
-    /// One check over the currently live clauses.
-    fn bcp_under_assumptions(&mut self, assumptions: &[Lit]) -> Outcome {
-        if let Some(&r) = self.empties.iter().find(|r| !self.db.is_deleted(**r)) {
-            return Outcome::Conflict(Conflict { clause: r });
-        }
-        self.prop.reset();
-        self.prop.push_level();
-        for &l in assumptions {
-            if !self.prop.assume(l) {
-                // tautological clause under test: trivially implied,
-                // nothing extra to mark
-                return Outcome::Tautology;
-            }
-        }
-        for i in 0..self.units.len() {
-            let (r, l) = self.units[i];
-            if self.db.is_deleted(r) {
-                continue;
-            }
-            if let Err(conflict) = self.prop.enqueue_propagated(l, r) {
-                return Outcome::Conflict(conflict);
-            }
-        }
-        match self.prop.propagate(&mut self.db) {
-            Some(conflict) => Outcome::Conflict(conflict),
-            None => Outcome::NoConflict,
-        }
-    }
-
-    fn mark_from_conflict(&mut self, conflict: Conflict) {
-        self.marked[conflict.clause.index()] = true;
-        let mut touched: Vec<cnf::Var> = Vec::new();
-        for &q in self.db.lits(conflict.clause) {
-            if !self.seen[q.var().idx()] {
-                self.seen[q.var().idx()] = true;
-                touched.push(q.var());
-            }
-        }
-        for idx in (0..self.prop.trail().len()).rev() {
-            let lit = self.prop.trail()[idx];
-            if !self.seen[lit.var().idx()] {
-                continue;
-            }
-            match self.prop.reason(lit.var()) {
-                Reason::Assumed | Reason::Decision => {}
-                Reason::Propagated(c) => {
-                    self.marked[c.index()] = true;
-                    for &q in self.db.lits(c) {
-                        if q != lit && !self.seen[q.var().idx()] {
-                            self.seen[q.var().idx()] = true;
-                            touched.push(q.var());
-                        }
-                    }
-                }
-            }
-        }
-        for v in touched {
-            self.seen[v.idx()] = false;
-        }
-    }
-}
-
-fn resolve(target: ProofClauseRef, num_original: usize, add_refs: &[ClauseRef]) -> ClauseRef {
-    match target {
-        ProofClauseRef::Original(i) => {
-            assert!(i < num_original, "delete of out-of-range original clause {i}");
-            ClauseRef::from_index(i)
-        }
-        ProofClauseRef::Learned(j) => add_refs[j],
-    }
 }
 
 #[cfg(test)]

@@ -16,6 +16,11 @@
 //! contract: [`DratOutcome::Exhausted`] is always distinct from a
 //! verdict.
 //!
+//! The same walk checks deletion-annotated proofs
+//! ([`crate::AnnotatedProof::verify`]), with deletions by reference and
+//! RAT off; its per-check steps are the shared backward-checking
+//! kernel's.
+//!
 //! Both encodings, the tolerated edge cases, and the divergences from
 //! drat-trim are specified in `docs/FORMATS.md`.
 
@@ -28,14 +33,15 @@ use std::io::{self, Write};
 use std::time::Instant;
 
 use bcp::{
-    ArenaWatchedPropagator, Attach, BudgetedPropagation, ClauseRef, ClauseStore, Conflict,
-    Fuel, Propagator, PropagatorChoice, Reason, Stopped, WatchedPropagator,
+    ArenaWatchedPropagator, Attach, ClauseRef, ClauseStore, Fuel, Propagator, PropagatorChoice,
+    Stopped, WatchedPropagator,
 };
-use cnf::{Clause, CnfFormula, LBool, Lit, Var};
+use cnf::{Clause, CnfFormula, Lit, Var};
 
 use crate::binary::{read_varint, write_varint, VarintFault};
 use crate::core_extract::UnsatCore;
 use crate::harness::{ExhaustReason, Harness, Progress};
+use crate::kernel::{lrat_id, Check, Implied, Kernel};
 use crate::lrat::{LratAdd, LratLine, LratProof};
 use crate::proof::ConflictClauseProof;
 use crate::rat::DratStats;
@@ -316,26 +322,6 @@ pub fn parse_drat_text(bytes: &[u8]) -> Result<DratProof, ParseDratError> {
     Ok(DratProof::new(steps))
 }
 
-fn decode_drat_lit(bytes: &[u8], pos: &mut usize) -> Result<Lit, ParseDratError> {
-    let start = *pos;
-    let code = match read_varint(bytes, pos) {
-        Ok(v) => v,
-        Err(VarintFault::Overflow) => {
-            return Err(ParseDratError::LiteralOutOfRange { offset: start });
-        }
-        Err(VarintFault::Truncated | VarintFault::TooLong) => {
-            return Err(ParseDratError::BadVarint { offset: start });
-        }
-    };
-    // standard binary-DRAT mapping: literal l ↦ 2l (positive), 2|l|+1
-    // (negative); 0 is the terminator, 1 would be variable zero
-    if code < 2 {
-        return Err(ParseDratError::LiteralOutOfRange { offset: start });
-    }
-    let magnitude = (code >> 1) as i32;
-    Ok(Lit::from_dimacs(if code & 1 == 1 { -magnitude } else { magnitude }))
-}
-
 /// Parses binary DRAT (drat-trim's compressed encoding): each step is
 /// an `'a'`/`'d'` prefix byte followed by LEB128 varints of the mapped
 /// literals and a `0` terminator.
@@ -350,27 +336,103 @@ pub fn parse_drat_binary(bytes: &[u8]) -> Result<DratProof, ParseDratError> {
     let mut lits = Vec::new();
     let mut pos = 0usize;
     while pos < bytes.len() {
-        let step_start = pos;
-        let kind = match bytes[pos] {
-            b'a' => DratStepKind::Add,
-            b'd' => DratStepKind::Delete,
-            byte => return Err(ParseDratError::BadPrefix { offset: pos, byte }),
-        };
-        pos += 1;
-        lits.clear();
-        loop {
-            if pos >= bytes.len() {
-                return Err(ParseDratError::UnexpectedEof { offset: pos });
+        match scan_step(bytes, pos, 0, true, &mut lits) {
+            Scan::Step { kind, next } => {
+                steps.push(DratStep { kind, clause: Clause::from_lits(&lits), position: pos });
+                pos = next;
             }
-            if bytes[pos] == 0 {
-                pos += 1;
-                break;
-            }
-            lits.push(decode_drat_lit(bytes, &mut pos)?);
+            Scan::Fail(e) => return Err(e),
+            Scan::NeedMore => unreachable!("a final buffer never asks for more"),
         }
-        steps.push(DratStep { kind, clause: Clause::from_lits(&lits), position: step_start });
     }
     Ok(DratProof::new(steps))
+}
+
+/// Result of scanning one step at `buf[pos..]`, where `buf[0]` is file
+/// byte `base`. `is_final` says the buffer ends at end-of-file, so
+/// running out of bytes is an error rather than a refill request.
+pub(crate) enum Scan {
+    /// A complete step; its literals are in the caller's buffer and the
+    /// next step starts at `next`.
+    Step {
+        kind: DratStepKind,
+        next: usize,
+    },
+    /// The buffer ended mid-step; refill and retry from `pos`.
+    NeedMore,
+    /// The bytes are not binary DRAT. Offsets are absolute file offsets.
+    Fail(ParseDratError),
+}
+
+/// Scans the binary-DRAT step starting at `buf[pos]` (which must
+/// exist) — the one decoder behind [`parse_drat_binary`] and the
+/// streaming checker, so both report identical positioned errors.
+pub(crate) fn scan_step(
+    buf: &[u8],
+    pos: usize,
+    base: u64,
+    is_final: bool,
+    lits: &mut Vec<Lit>,
+) -> Scan {
+    let abs = |p: usize| (base + p as u64) as usize;
+    lits.clear();
+    let kind = match buf[pos] {
+        b'a' => DratStepKind::Add,
+        b'd' => DratStepKind::Delete,
+        byte => {
+            return Scan::Fail(ParseDratError::BadPrefix {
+                offset: abs(pos),
+                byte,
+            })
+        }
+    };
+    let mut p = pos + 1;
+    loop {
+        if p >= buf.len() {
+            return if is_final {
+                Scan::Fail(ParseDratError::UnexpectedEof { offset: abs(p) })
+            } else {
+                Scan::NeedMore
+            };
+        }
+        if buf[p] == 0 {
+            return Scan::Step { kind, next: p + 1 };
+        }
+        let start = p;
+        match read_varint(buf, &mut p) {
+            Ok(code) => {
+                // standard binary-DRAT mapping: literal l ↦ 2l
+                // (positive), 2|l|+1 (negative); 0 terminates, 1 would
+                // be variable zero
+                if code < 2 {
+                    return Scan::Fail(ParseDratError::LiteralOutOfRange {
+                        offset: abs(start),
+                    });
+                }
+                let magnitude = (code >> 1) as i32;
+                lits.push(Lit::from_dimacs(if code & 1 == 1 {
+                    -magnitude
+                } else {
+                    magnitude
+                }));
+            }
+            Err(VarintFault::Overflow) => {
+                return Scan::Fail(ParseDratError::LiteralOutOfRange {
+                    offset: abs(start),
+                })
+            }
+            Err(VarintFault::TooLong) => {
+                return Scan::Fail(ParseDratError::BadVarint { offset: abs(start) })
+            }
+            Err(VarintFault::Truncated) => {
+                return if is_final {
+                    Scan::Fail(ParseDratError::BadVarint { offset: abs(start) })
+                } else {
+                    Scan::NeedMore
+                };
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -565,9 +627,8 @@ pub fn verify_drat_backward(
 /// Verifies a DRAT proof backward under a [`Harness`] on the chosen
 /// engine.
 ///
-/// Like [`crate::deletion::AnnotatedProof::verify_with_engine`], the
-/// arena engine runs *without* compaction: the backward walk resurrects
-/// deleted clauses, so their bodies must survive deletion.
+/// The arena engine runs *without* compaction: the backward walk
+/// resurrects deleted clauses, so their bodies must survive deletion.
 pub fn verify_drat_backward_harnessed(
     formula: &CnfFormula,
     proof: &DratProof,
@@ -575,17 +636,9 @@ pub fn verify_drat_backward_harnessed(
     engine: PropagatorChoice,
 ) -> DratOutcome {
     match engine {
-        PropagatorChoice::Watched => {
-            match BackwardChecker::<WatchedPropagator>::new(formula, proof) {
-                Ok(checker) => checker.run(harness),
-                Err(error) => DratOutcome::Rejected { step: None, error },
-            }
-        }
+        PropagatorChoice::Watched => verify_drat_walk::<WatchedPropagator>(formula, proof, harness),
         PropagatorChoice::ArenaWatched => {
-            match BackwardChecker::<ArenaWatchedPropagator>::new(formula, proof) {
-                Ok(checker) => checker.run(harness),
-                Err(error) => DratOutcome::Rejected { step: None, error },
-            }
+            verify_drat_walk::<ArenaWatchedPropagator>(formula, proof, harness)
         }
     }
 }
@@ -796,151 +849,149 @@ fn mix(mut x: u64) -> u64 {
 }
 
 // ---------------------------------------------------------------------
-// The backward pass
+// The backward walk
 // ---------------------------------------------------------------------
 
-enum SubCheck {
-    Conflict(Conflict),
-    Vacuous,
-    NoConflict,
-    Interrupted(Stopped),
+/// A proof the backward walk steps through: its steps in file order,
+/// each an addition or a deletion.
+pub(crate) trait WalkProof {
+    /// Number of steps.
+    fn num_steps(&self) -> usize;
+    /// The clause step `pos` adds, or `None` when it deletes one.
+    fn added(&self, pos: usize) -> Option<&Clause>;
 }
 
-/// Whether a checked addition is implied (RUP or RAT).
-enum Implied {
-    Yes,
-    No,
-    Interrupted(Stopped),
-}
-
-/// A clause's LRAT id: dense insertion order, from 1.
-fn lrat_id(r: ClauseRef) -> u64 {
-    r.index() as u64 + 1
-}
-
-/// The RAT candidate lists: for each literal, every clause ever added
-/// that contains it, in ascending ref order (liveness is filtered at
-/// use, and a literal a clause repeats lists it again).
-fn occurrences<S: ClauseStore>(db: &S, num_lits: usize) -> Vec<Vec<ClauseRef>> {
-    let mut occ = vec![Vec::new(); num_lits];
-    for i in 0..db.len() {
-        let r = ClauseRef::from_index(i);
-        for &l in db.lits(r) {
-            occ[l.idx()].push(r);
-        }
+impl WalkProof for DratProof {
+    fn num_steps(&self) -> usize {
+        self.steps.len()
     }
-    occ
+
+    fn added(&self, pos: usize) -> Option<&Clause> {
+        let step = &self.steps[pos];
+        (step.kind == DratStepKind::Add).then_some(&step.clause)
+    }
 }
 
-struct BackwardChecker<'a, P: Propagator> {
-    proof: &'a DratProof,
-    db: P::Store,
-    prop: P,
+/// What a walk that reached the start of the proof established, besides
+/// its marks.
+pub(crate) struct Walked {
+    pub(crate) num_checked: usize,
+    stats: DratStats,
+    /// The empty clause the proof ends with, when it is live at the end:
+    /// the claim the terminal check established.
+    trailing_empty: Option<ClauseRef>,
+    /// The terminal conflict's cone as LRAT hints (DRAT walks only).
+    terminal_hints: Vec<i64>,
+    propagations: u64,
+    clause_visits: u64,
+}
+
+/// The backward walk shared by DRAT and deletion-annotated (DRUP)
+/// proofs. The caller stores the proof's additions and resolves its
+/// deletions ([`BackwardWalk::add`], [`BackwardWalk::delete`]); the walk
+/// then checks the marked additions from the last step back, each
+/// against the clauses live at its point.
+pub(crate) struct BackwardWalk<'a, P: Propagator, W> {
+    proof: &'a W,
+    kernel: Kernel<P, BTreeMap<ClauseRef, Lit>>,
     /// arena ref of each addition step (in proof order)
     add_refs: Vec<ClauseRef>,
     /// resolved target of each deletion step (in proof order)
     delete_refs: Vec<ClauseRef>,
-    /// the live unit clauses, by ref: each check enqueues them in this
-    /// order
-    units: BTreeMap<ClauseRef, Lit>,
-    empties: Vec<ClauseRef>,
-    /// occurrence lists over every clause ever added, to enumerate RAT
-    /// candidates; built by the first RAT check
-    occ: Option<Vec<Vec<ClauseRef>>>,
-    marked: Vec<bool>,
-    seen: Vec<bool>,
+    /// DRAT rules — a RAT fallback and LRAT hints — or RUP only, with
+    /// nothing recorded (DRUP)
+    drat: bool,
     /// LRAT hints of each checked addition step (in proof order)
     hints: Vec<Option<Vec<i64>>>,
     num_original: usize,
-    // scratch reused across steps
-    touched: Vec<Var>,
-    assumed: Vec<Lit>,
-    step_hints: Vec<i64>,
-    candidates: Vec<ClauseRef>,
 }
 
-impl<'a, P: Propagator> BackwardChecker<'a, P> {
-    fn new(formula: &CnfFormula, proof: &'a DratProof) -> Result<Self, DratError> {
-        let num_vars = formula
-            .num_vars()
-            .max(proof.max_var().map_or(0, |v| v.idx() + 1));
-        let num_adds = proof.num_adds();
-        let mut checker = BackwardChecker {
-            proof,
-            db: P::Store::new(),
-            prop: P::new(num_vars),
-            add_refs: Vec::with_capacity(num_adds),
-            delete_refs: Vec::with_capacity(proof.steps().len() - num_adds),
-            units: BTreeMap::new(),
-            empties: Vec::new(),
-            occ: None,
-            marked: Vec::new(),
-            seen: vec![false; num_vars],
-            hints: vec![None; num_adds],
-            num_original: formula.num_clauses(),
-            touched: Vec::new(),
-            assumed: Vec::new(),
-            step_hints: Vec::new(),
-            candidates: Vec::new(),
-        };
-        // Store and index every clause, resolve every deletion, then
-        // attach the clauses live at the end of the proof in ref order:
-        // the watch lists come out exactly as attaching each clause when
-        // added and detaching it when deleted would leave them.
-        let mut index = DeletionIndex::with_capacity(formula.num_clauses() + num_adds);
+impl<'a, P: Propagator, W: WalkProof> BackwardWalk<'a, P, W> {
+    /// A walk whose store holds the formula's clauses.
+    pub(crate) fn new(formula: &CnfFormula, proof: &'a W, drat: bool) -> Self {
+        let max_var = (0..proof.num_steps())
+            .filter_map(|pos| proof.added(pos).and_then(Clause::max_var))
+            .max();
+        let num_vars = formula.num_vars().max(max_var.map_or(0, |v| v.idx() + 1));
+        let mut kernel: Kernel<P, _> = Kernel::new(num_vars, BTreeMap::new());
         for clause in formula.iter() {
-            let r = checker.db.add_clause(clause.lits(), false);
-            index.insert(r, clause.lits());
+            kernel.db.add_clause(clause.lits(), false);
         }
-        for step in proof.steps() {
-            match step.kind {
-                DratStepKind::Add => {
-                    let r = checker.db.add_clause(step.clause.lits(), true);
-                    index.insert(r, step.clause.lits());
-                    checker.add_refs.push(r);
-                }
-                DratStepKind::Delete => {
-                    let db = &checker.db;
-                    let Some(r) = index.remove(step.clause.lits(), |r| db.lits(r)) else {
-                        return Err(DratError::DeleteMissing {
-                            position: step.position,
-                            clause: step.clause.clone(),
-                        });
-                    };
-                    checker.db.delete_clause(r);
-                    checker.delete_refs.push(r);
-                }
-            }
+        BackwardWalk {
+            proof,
+            kernel,
+            add_refs: Vec::new(),
+            delete_refs: Vec::new(),
+            drat,
+            hints: Vec::new(),
+            num_original: formula.num_clauses(),
         }
-        for i in 0..checker.db.len() {
-            let r = ClauseRef::from_index(i);
-            if checker.db.clause_len(r) == 0 {
-                // empty clauses are found by a scan; liveness is checked
-                // at use
-                checker.empties.push(r);
-            } else if !checker.db.is_deleted(r) {
-                if let Attach::Unit(l) = checker.prop.attach_clause(&mut checker.db, r) {
-                    checker.units.insert(r, l);
-                }
-            }
-        }
-        checker.marked = vec![false; checker.db.len()];
-        Ok(checker)
     }
 
-    fn run(mut self, harness: &Harness) -> DratOutcome {
-        let start = Instant::now();
-        let steps_total = self.add_refs.len();
-        let budget = &harness.budget;
+    /// Stores the next addition step's clause.
+    pub(crate) fn add(&mut self, clause: &Clause) -> ClauseRef {
+        let r = self.kernel.db.add_clause(clause.lits(), true);
+        self.add_refs.push(r);
+        r
+    }
 
-        // the arena is fully allocated by `new`, so the memory cap is
-        // decidable up front
-        let arena_bytes = (self.db.arena_len() * std::mem::size_of::<Lit>()) as u64;
+    /// Deletes `r`, the target of the next deletion step.
+    pub(crate) fn delete(&mut self, r: ClauseRef) {
+        self.kernel.db.delete_clause(r);
+        self.delete_refs.push(r);
+    }
+
+    /// The arena ref of the `j`-th addition.
+    pub(crate) fn added_ref(&self, j: usize) -> ClauseRef {
+        self.add_refs[j]
+    }
+
+    /// The marked original clauses.
+    pub(crate) fn core(&self) -> UnsatCore {
+        let marked = &self.kernel.marked;
+        UnsatCore::new((0..self.num_original).filter(|&i| marked[i]).collect(), self.num_original)
+    }
+
+    /// For each addition step, whether it is marked.
+    pub(crate) fn marked_adds(&self) -> Vec<bool> {
+        self.add_refs.iter().map(|r| self.kernel.marked[r.index()]).collect()
+    }
+
+    /// Runs the walk under `harness`: the terminal check over the final
+    /// live set, then every step from the last back. `Err` carries the
+    /// rejection or exhaustion that stopped it.
+    pub(crate) fn run(&mut self, harness: &Harness) -> Result<Walked, DratOutcome> {
+        let start = Instant::now();
+        let budget = &harness.budget;
+        let kernel = &mut self.kernel;
+
+        // Attach the clauses live at the end of the proof in ref order:
+        // the watch lists come out exactly as attaching each clause when
+        // added and detaching it when deleted would leave them.
+        for r in kernel.db.refs() {
+            if kernel.db.clause_len(r) == 0 {
+                // empty clauses are found by a scan; liveness is checked
+                // at use
+                kernel.empties.push(r);
+            } else if !kernel.db.is_deleted(r) {
+                if let Attach::Unit(l) = kernel.prop.attach_clause(&mut kernel.db, r) {
+                    kernel.units.insert(r, l);
+                }
+            }
+        }
+        kernel.marked = vec![false; kernel.db.len()];
+        if self.drat {
+            self.hints = vec![None; self.add_refs.len()];
+        }
+
+        // the arena is fully allocated, so the memory cap is decidable
+        // up front
+        let arena_bytes = (kernel.db.arena_len() * std::mem::size_of::<Lit>()) as u64;
         if arena_bytes > budget.max_arena_bytes {
-            return DratOutcome::Exhausted {
+            return Err(DratOutcome::Exhausted {
                 reason: ExhaustReason::Memory,
-                progress: Progress { steps_total, ..Progress::default() },
-            };
+                progress: Progress { steps_total: self.add_refs.len(), ..Progress::default() },
+            });
         }
         let mut fuel = Fuel {
             used_propagations: 0,
@@ -957,144 +1008,88 @@ impl<'a, P: Propagator> BackwardChecker<'a, P> {
         // it must not witness its own check. The terminal check below
         // *is* its check; its hints become the empty clause's LRAT line.
         let trailing_empty = self.add_refs.last().copied().filter(|&last| {
-            self.db.clause_len(last) == 0 && !self.db.is_deleted(last)
+            self.kernel.db.clause_len(last) == 0 && !self.kernel.db.is_deleted(last)
         });
         if let Some(last) = trailing_empty {
-            self.db.delete_clause(last);
+            self.kernel.db.delete_clause(last);
         }
 
         let mut terminal_hints = Vec::new();
-        match self.sub_check(&[], &mut fuel) {
-            SubCheck::Conflict(conflict) => {
-                self.mark_and_hint(conflict, &mut terminal_hints);
+        match self.kernel.check(&[], &mut fuel) {
+            Check::Conflict(conflict) => {
+                self.kernel.mark_conflict(conflict, self.drat.then_some(&mut terminal_hints));
             }
-            SubCheck::Vacuous => unreachable!("no assumptions, no clash"),
-            SubCheck::NoConflict => {
-                return DratOutcome::Rejected {
-                    step: None,
-                    error: DratError::NotARefutation,
-                }
+            Check::Vacuous => unreachable!("no assumptions, no clash"),
+            Check::NoConflict => {
+                return Err(DratOutcome::Rejected { step: None, error: DratError::NotARefutation })
             }
-            SubCheck::Interrupted(s) => {
-                return self.exhausted(s, num_checked, &fuel);
-            }
-        }
-        if let Some(last) = trailing_empty {
-            // keep the claim itself in the trimmed proof and LRAT
-            self.marked[last.index()] = true;
-            *self.hints.last_mut().expect("trailing add exists") = Some(terminal_hints.clone());
+            Check::Interrupted(s) => return Err(self.exhausted(s, num_checked, &fuel)),
         }
 
         // Walk the steps backward.
         let mut add_index = self.add_refs.len();
         let mut delete_index = self.delete_refs.len();
-        for pos in (0..self.proof.steps().len()).rev() {
-            let step = &self.proof.steps()[pos];
-            match step.kind {
-                DratStepKind::Delete => {
-                    // stepping back across a deletion resurrects the clause
-                    delete_index -= 1;
-                    let r = self.delete_refs[delete_index];
-                    self.db.undelete_clause(r);
-                    match *self.db.lits(r) {
-                        [] => {}
-                        [unit] => {
-                            self.units.insert(r, unit);
-                        }
-                        _ => {
-                            self.prop.attach_clause(&mut self.db, r);
-                        }
+        let mut hints = Vec::new();
+        for pos in (0..self.proof.num_steps()).rev() {
+            let Some(clause) = self.proof.added(pos) else {
+                // stepping back across a deletion resurrects the clause
+                delete_index -= 1;
+                let r = self.delete_refs[delete_index];
+                let kernel = &mut self.kernel;
+                kernel.db.undelete_clause(r);
+                match *kernel.db.lits(r) {
+                    [] => {}
+                    [unit] => {
+                        kernel.units.insert(r, unit);
+                    }
+                    _ => {
+                        kernel.prop.attach_clause(&mut kernel.db, r);
                     }
                 }
-                DratStepKind::Add => {
-                    add_index -= 1;
-                    let r = self.add_refs[add_index];
-                    // deactivate the clause being checked. It is never
-                    // resurrected, so its watch entries may go lazily:
-                    // both engines drop a deleted clause's entry without
-                    // visiting it.
-                    if !self.db.is_deleted(r) {
-                        self.db.delete_clause(r);
-                        self.units.remove(&r);
-                    }
-                    let is_trailing_empty =
-                        step.clause.is_empty() && add_index == self.add_refs.len() - 1;
-                    if is_trailing_empty || !self.marked[r.index()] {
-                        continue;
-                    }
-                    num_checked += 1;
-                    let mut assumed = std::mem::take(&mut self.assumed);
-                    assumed.clear();
-                    assumed.extend(step.clause.lits().iter().map(|&l| !l));
-                    let mut hints = std::mem::take(&mut self.step_hints);
-                    hints.clear();
-                    let implied = match self.sub_check(&assumed, &mut fuel) {
-                        SubCheck::Conflict(conflict) => {
-                            self.mark_and_hint(conflict, &mut hints);
-                            stats.num_rup += 1;
-                            Implied::Yes
-                        }
-                        SubCheck::Vacuous => {
-                            // a tautology: vacuously implied, no hints
-                            stats.num_rup += 1;
-                            Implied::Yes
-                        }
-                        SubCheck::NoConflict => {
-                            let rat = self.rat_check(
-                                &step.clause,
-                                &mut assumed,
-                                &mut hints,
-                                &mut fuel,
-                                &mut stats,
-                            );
-                            if let Implied::Yes = rat {
-                                stats.num_rat += 1;
-                            }
-                            rat
-                        }
-                        SubCheck::Interrupted(s) => Implied::Interrupted(s),
-                    };
-                    match implied {
-                        Implied::Yes => self.hints[add_index] = Some(hints.as_slice().into()),
-                        Implied::No => {
-                            return DratOutcome::Rejected {
-                                step: Some(add_index),
-                                error: DratError::NotImplied {
-                                    step: add_index,
-                                    clause: step.clause.clone(),
-                                },
-                            }
-                        }
-                        Implied::Interrupted(s) => {
-                            return self.exhausted(s, num_checked, &fuel);
-                        }
-                    }
-                    self.assumed = assumed;
-                    self.step_hints = hints;
+                continue;
+            };
+            add_index -= 1;
+            let r = self.add_refs[add_index];
+            // deactivate the clause being checked. It is never
+            // resurrected, so its watch entries may go lazily: both
+            // engines drop a deleted clause's entry without visiting it.
+            if !self.kernel.db.is_deleted(r) {
+                self.kernel.db.delete_clause(r);
+                self.kernel.units.remove(&r);
+            }
+            let is_trailing_empty = clause.is_empty() && add_index == self.add_refs.len() - 1;
+            if is_trailing_empty || !self.kernel.marked[r.index()] {
+                continue;
+            }
+            num_checked += 1;
+            hints.clear();
+            let implied = self.kernel.implied(
+                clause.lits(),
+                self.drat,
+                self.drat.then_some(&mut hints),
+                &mut fuel,
+                &mut stats,
+            );
+            match implied {
+                Implied::Yes if self.drat => self.hints[add_index] = Some(hints.as_slice().into()),
+                Implied::Yes => {}
+                Implied::No => {
+                    return Err(DratOutcome::Rejected {
+                        step: Some(add_index),
+                        error: DratError::NotImplied { step: add_index, clause: clause.clone() },
+                    })
                 }
+                Implied::Interrupted(s) => return Err(self.exhausted(s, num_checked, &fuel)),
             }
         }
-
-        let core_indices: Vec<usize> =
-            (0..self.num_original).filter(|&i| self.marked[i]).collect();
-        let marked_adds: Vec<bool> =
-            self.add_refs.iter().map(|r| self.marked[r.index()]).collect();
-        let kept_deletes: Vec<bool> = self
-            .delete_refs
-            .iter()
-            .map(|&r| r.index() < self.num_original || self.marked[r.index()])
-            .collect();
-        let lrat = self.emit_lrat(&terminal_hints, &marked_adds, &kept_deletes);
-        DratOutcome::Verified(Box::new(DratVerification {
-            core: UnsatCore::new(core_indices, self.num_original),
+        Ok(Walked {
             num_checked,
             stats,
-            marked_adds,
-            kept_deletes,
-            lrat,
+            trailing_empty,
+            terminal_hints,
             propagations: fuel.used_propagations,
             clause_visits: fuel.used_clause_visits,
-        }))
+        })
     }
 
     fn exhausted(&self, stopped: Stopped, num_checked: usize, fuel: &Fuel<'_>) -> DratOutcome {
@@ -1108,147 +1103,84 @@ impl<'a, P: Propagator> BackwardChecker<'a, P> {
             },
         }
     }
+}
 
-    /// One budgeted propagation check over the currently live clauses.
-    fn sub_check(&mut self, assumptions: &[Lit], fuel: &mut Fuel<'_>) -> SubCheck {
-        if let Some(&r) = self.empties.iter().find(|r| !self.db.is_deleted(**r)) {
-            return SubCheck::Conflict(Conflict { clause: r });
-        }
-        self.prop.reset();
-        self.prop.push_level();
-        for &l in assumptions {
-            match self.prop.value(l) {
-                // duplicate assumption
-                LBool::True => {}
-                // clashing assumptions: the obligation is tautological
-                LBool::False => return SubCheck::Vacuous,
-                LBool::Unassigned => {
-                    let ok = self.prop.assume(l);
-                    debug_assert!(ok, "unassigned literal must be assumable");
-                }
+/// The DRAT walk: every clause stored, each deletion resolved by content
+/// through a [`DeletionIndex`].
+fn drat_walk<'a, P: Propagator>(
+    formula: &CnfFormula,
+    proof: &'a DratProof,
+) -> Result<BackwardWalk<'a, P, DratProof>, DratError> {
+    let mut walk = BackwardWalk::<P, _>::new(formula, proof, true);
+    walk.add_refs.reserve(proof.num_adds());
+    walk.delete_refs.reserve(proof.num_deletes());
+    let mut index = DeletionIndex::with_capacity(formula.num_clauses() + proof.num_adds());
+    for (i, clause) in formula.iter().enumerate() {
+        index.insert(ClauseRef::from_index(i), clause.lits());
+    }
+    for step in proof.steps() {
+        match step.kind {
+            DratStepKind::Add => {
+                let r = walk.add(&step.clause);
+                index.insert(r, step.clause.lits());
             }
-        }
-        for (&r, &l) in &self.units {
-            if let Err(conflict) = self.prop.enqueue_propagated(l, r) {
-                return SubCheck::Conflict(conflict);
+            DratStepKind::Delete => {
+                let db = &walk.kernel.db;
+                let Some(r) = index.remove(step.clause.lits(), |r| db.lits(r)) else {
+                    return Err(DratError::DeleteMissing {
+                        position: step.position,
+                        clause: step.clause.clone(),
+                    });
+                };
+                walk.delete(r);
             }
-        }
-        match self.prop.propagate_budgeted(&mut self.db, fuel) {
-            BudgetedPropagation::Conflict(c) => SubCheck::Conflict(c),
-            BudgetedPropagation::Fixpoint => SubCheck::NoConflict,
-            BudgetedPropagation::Interrupted(s) => SubCheck::Interrupted(s),
         }
     }
+    Ok(walk)
+}
 
-    /// RAT fallback on the clause's first literal, in the
-    /// LRAT-compatible formulation: for every live clause `D ∋ ¬pivot`,
-    /// `F ∧ ¬C ∧ ¬(D \ {¬pivot})` must propagate to a conflict (note:
-    /// the *full* ¬C, pivot included, so the recorded hints replay
-    /// verbatim in an LRAT consumer). `assumed` holds ¬C on entry; each
-    /// candidate's group (`-d`, then its cone) is appended to `hints`.
-    fn rat_check(
-        &mut self,
-        clause: &Clause,
-        assumed: &mut Vec<Lit>,
-        hints: &mut Vec<i64>,
-        fuel: &mut Fuel<'_>,
-        stats: &mut DratStats,
-    ) -> Implied {
-        let Some(&pivot) = clause.lits().first() else {
-            return Implied::No; // no pivot to resolve on
-        };
-        let num_lits = 2 * self.seen.len();
-        let occ = self.occ.get_or_insert_with(|| occurrences(&self.db, num_lits));
-        let mut candidates = std::mem::take(&mut self.candidates);
-        candidates.clear();
-        candidates.extend(
-            occ[(!pivot).idx()]
-                .iter()
-                .copied()
-                .filter(|&r| !self.db.is_deleted(r)),
-        );
-        let negated_len = assumed.len();
-        let mut implied = Implied::Yes;
-        for &d in &candidates {
-            stats.num_resolvent_checks += 1;
-            assumed.truncate(negated_len);
-            assumed.extend(self.db.lits(d).iter().filter(|&&l| l != !pivot).map(|&l| !l));
-            hints.push(-(lrat_id(d) as i64));
-            match self.sub_check(assumed, fuel) {
-                SubCheck::Conflict(conflict) => {
-                    self.mark_and_hint(conflict, hints);
-                    // the candidate itself becomes part of the
-                    // certificate: an LRAT consumer must see it to
-                    // enumerate the same resolvents
-                    self.marked[d.index()] = true;
-                }
-                SubCheck::Vacuous => {
-                    // tautological resolvent: vacuously fine, no hints
-                    self.marked[d.index()] = true;
-                }
-                SubCheck::NoConflict => {
-                    implied = Implied::No;
-                    break;
-                }
-                SubCheck::Interrupted(s) => {
-                    implied = Implied::Interrupted(s);
-                    break;
-                }
-            }
-        }
-        self.candidates = candidates;
-        implied
+fn verify_drat_walk<P: Propagator>(
+    formula: &CnfFormula,
+    proof: &DratProof,
+    harness: &Harness,
+) -> DratOutcome {
+    let mut walk = match drat_walk::<P>(formula, proof) {
+        Ok(walk) => walk,
+        Err(error) => return DratOutcome::Rejected { step: None, error },
+    };
+    match walk.run(harness) {
+        Ok(walked) => DratOutcome::Verified(Box::new(walk.certify(walked))),
+        Err(outcome) => outcome,
     }
+}
 
-    /// Marks the conflict cone and appends it to `hints` as LRAT ids:
-    /// the reason clauses of the cone in *forward* trail order (each is
-    /// unit when replayed left to right), then the conflicting clause.
-    /// One backward pass over the trail collects the cone, which is then
-    /// reversed: a trail literal's reason mentions only earlier ones, so
-    /// no literal is pulled into the cone after the pass has left it.
-    fn mark_and_hint(&mut self, conflict: Conflict, hints: &mut Vec<i64>) {
-        let mut touched = std::mem::take(&mut self.touched);
-        self.marked[conflict.clause.index()] = true;
-        for &q in self.db.lits(conflict.clause) {
-            if !self.seen[q.var().idx()] {
-                self.seen[q.var().idx()] = true;
-                touched.push(q.var());
-            }
+impl<P: Propagator> BackwardWalk<'_, P, DratProof> {
+    /// The verification result of a completed DRAT walk, with its LRAT
+    /// certificate.
+    fn certify(mut self, walked: Walked) -> DratVerification {
+        if let Some(last) = walked.trailing_empty {
+            // keep the claim itself in the trimmed proof and LRAT
+            self.kernel.marked[last.index()] = true;
+            *self.hints.last_mut().expect("trailing add exists") =
+                Some(walked.terminal_hints.clone());
         }
-        let cone_start = hints.len();
-        // every variable in `touched` is false on the trail, so the pass
-        // can stop once it has reached them all
-        let mut reached = 0;
-        for idx in (0..self.prop.trail().len()).rev() {
-            if reached == touched.len() {
-                break;
-            }
-            let lit = self.prop.trail()[idx];
-            if !self.seen[lit.var().idx()] {
-                continue;
-            }
-            reached += 1;
-            match self.prop.reason(lit.var()) {
-                Reason::Assumed | Reason::Decision => {}
-                Reason::Propagated(c) => {
-                    self.marked[c.index()] = true;
-                    hints.push(lrat_id(c) as i64);
-                    for &q in self.db.lits(c) {
-                        if q != lit && !self.seen[q.var().idx()] {
-                            self.seen[q.var().idx()] = true;
-                            touched.push(q.var());
-                        }
-                    }
-                }
-            }
+        let marked_adds = self.marked_adds();
+        let kept_deletes: Vec<bool> = self
+            .delete_refs
+            .iter()
+            .map(|&r| r.index() < self.num_original || self.kernel.marked[r.index()])
+            .collect();
+        let lrat = self.emit_lrat(&walked.terminal_hints, &marked_adds, &kept_deletes);
+        DratVerification {
+            core: self.core(),
+            num_checked: walked.num_checked,
+            stats: walked.stats,
+            marked_adds,
+            kept_deletes,
+            lrat,
+            propagations: walked.propagations,
+            clause_visits: walked.clause_visits,
         }
-        hints[cone_start..].reverse();
-        hints.push(lrat_id(conflict.clause) as i64);
-        for &v in &touched {
-            self.seen[v.idx()] = false;
-        }
-        touched.clear();
-        self.touched = touched;
     }
 
     /// Assembles the LRAT certificate from the recorded hints. Clause
@@ -1304,7 +1236,7 @@ impl<'a, P: Propagator> BackwardChecker<'a, P> {
                 lines.push(LratLine::Delete { id: last_id, ids: pending });
             }
             lines.push(LratLine::Add(LratAdd {
-                id: self.db.len() as u64 + 1,
+                id: self.kernel.db.len() as u64 + 1,
                 clause: Clause::empty(),
                 hints: terminal_hints.to_vec(),
             }));

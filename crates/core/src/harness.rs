@@ -943,14 +943,13 @@ pub fn verify_harnessed_with_engine(
     harness: &Harness,
     engine: bcp::PropagatorChoice,
 ) -> Outcome {
-    let fingerprints =
-        (formula_fingerprint(formula), proof_fingerprint(proof));
     match engine {
-        bcp::PropagatorChoice::Watched => Checker::new(formula, proof)
-            .run_harnessed(mode, harness, None, fingerprints),
+        bcp::PropagatorChoice::Watched => {
+            Checker::new(formula, proof).run_harnessed(mode, None, harness, None)
+        }
         bcp::PropagatorChoice::ArenaWatched => {
             Checker::<bcp::ArenaWatchedPropagator>::with_engine(formula, proof)
-                .run_harnessed(mode, harness, None, fingerprints)
+                .run_harnessed(mode, None, harness, None)
         }
     }
 }
@@ -994,18 +993,14 @@ pub fn resume_verification_with_engine(
     engine: bcp::PropagatorChoice,
 ) -> Result<Outcome, CheckpointError> {
     checkpoint.validate(formula, proof)?;
-    let fingerprints = (checkpoint.formula_hash, checkpoint.proof_hash);
+    let mode = checkpoint.mode;
     Ok(match engine {
-        bcp::PropagatorChoice::Watched => Checker::new(formula, proof)
-            .run_harnessed(checkpoint.mode, harness, Some(checkpoint), fingerprints),
+        bcp::PropagatorChoice::Watched => {
+            Checker::new(formula, proof).run_harnessed(mode, None, harness, Some(checkpoint))
+        }
         bcp::PropagatorChoice::ArenaWatched => {
             Checker::<bcp::ArenaWatchedPropagator>::with_engine(formula, proof)
-                .run_harnessed(
-                    checkpoint.mode,
-                    harness,
-                    Some(checkpoint),
-                    fingerprints,
-                )
+                .run_harnessed(mode, None, harness, Some(checkpoint))
         }
     })
 }

@@ -57,6 +57,7 @@ mod drat;
 mod error;
 mod format;
 mod harness;
+mod kernel;
 mod lrat;
 mod parallel;
 mod proof;
@@ -72,8 +73,7 @@ pub use binary::{
 };
 pub use bcp::PropagatorChoice;
 pub use checker::{
-    verify, verify_all, verify_implication, verify_with_engine, CheckMode,
-    Checker, Verification,
+    verify, verify_all, verify_implication, CheckMode, Checker, Verification,
 };
 pub use core_extract::UnsatCore;
 pub use deletion::{

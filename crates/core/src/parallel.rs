@@ -25,10 +25,7 @@ use cnf::CnfFormula;
 use crate::checker::{CheckMode, Checker, Verification, WorkerOutcome};
 use crate::core_extract::UnsatCore;
 use crate::error::VerifyError;
-use crate::harness::{
-    formula_fingerprint, proof_fingerprint, ExhaustReason, Harness, Outcome,
-    Progress,
-};
+use crate::harness::{ExhaustReason, Harness, Outcome, Progress};
 use crate::proof::ConflictClauseProof;
 use crate::report::VerificationReport;
 
@@ -402,12 +399,10 @@ fn sequential_fallback<'f, P: Propagator>(
     harness: &Harness,
     prebuilt: Option<Checker<'f, P>>,
 ) -> Outcome {
-    let fingerprints =
-        (formula_fingerprint(formula), proof_fingerprint(proof));
     let checker =
         prebuilt.unwrap_or_else(|| Checker::<P>::with_engine(formula, proof));
     catch_unwind(AssertUnwindSafe(|| {
-        checker.run_harnessed(CheckMode::All, harness, None, fingerprints)
+        checker.run_harnessed(CheckMode::All, None, harness, None)
     }))
     .unwrap_or_else(|_panic| Outcome::Exhausted {
         reason: ExhaustReason::WorkerFailure,

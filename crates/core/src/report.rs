@@ -21,10 +21,15 @@ pub struct VerificationReport {
     pub core_size: usize,
     /// Wall-clock verification time (Table 2, "Verification time").
     pub verify_time: Duration,
-    /// Length of the final BCP trail (diagnostic).
+    /// Literals propagated (queue pops) across every check, the count
+    /// [`crate::Budget::max_propagations`] caps: a sequential run that
+    /// reports `P` exhausts under a cap of `P - 1`. Cumulative across the
+    /// resumes of a checkpointed run; a parallel run sums its workers',
+    /// each of which has the cap to itself.
     pub propagations: u64,
-    /// Clause look-ups performed by the watched-literal engine
-    /// (diagnostic for the BCP ablation).
+    /// Clause look-ups performed by the watched-literal engine, the count
+    /// [`crate::Budget::max_clause_visits`] caps (diagnostic for the BCP
+    /// ablation). Summed and carried across resumes like `propagations`.
     pub clause_visits: u64,
 }
 

@@ -38,19 +38,20 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use bcp::{
-    ArenaWatchedPropagator, Attach, BudgetedPropagation, ClauseRef, ClauseStore,
-    Conflict, Fuel, Propagator, PropagatorChoice, Reason, Stopped,
-    WatchedPropagator,
+    ArenaWatchedPropagator, Attach, ClauseRef, ClauseStore, Fuel, Propagator,
+    PropagatorChoice, Stopped, WatchedPropagator,
 };
-use cnf::{Clause, CnfFormula, LBool, Lit, Var};
+use cnf::{Clause, CnfFormula, Lit};
 
-use crate::binary::{read_varint, VarintFault};
 use crate::core_extract::UnsatCore;
-use crate::drat::{DratError, DratProof, DratStep, DratStepKind, ParseDratError};
+use crate::drat::{
+    scan_step, DratError, DratProof, DratStep, DratStepKind, ParseDratError, Scan,
+};
 use crate::harness::{
     atomic_write, formula_fingerprint, marks_from_hex, marks_to_hex,
     CheckpointError, ExhaustReason, FaultPlan, Harness, Progress,
 };
+use crate::kernel::{Check, Implied, Kernel};
 use crate::rat::DratStats;
 
 // ---------------------------------------------------------------------
@@ -310,94 +311,6 @@ impl<'f, R: Read + Seek> ChunkedReader<'f, R> {
 // ---------------------------------------------------------------------
 // Incremental binary-DRAT scanning
 // ---------------------------------------------------------------------
-
-/// Result of scanning one step at `buf[pos..]`, where `buf[0]` is file
-/// byte `base`. `is_final` says the buffer ends at end-of-file, so
-/// running out of bytes is an error rather than a refill request.
-enum Scan {
-    /// A complete step; its literals are in the caller's buffer and the
-    /// next step starts at `next`.
-    Step {
-        kind: DratStepKind,
-        next: usize,
-    },
-    /// The buffer ended mid-step; refill and retry from `pos`.
-    NeedMore,
-    /// The bytes are not binary DRAT. Offsets are absolute file offsets,
-    /// matching [`crate::parse_drat_binary`] exactly.
-    Fail(ParseDratError),
-}
-
-/// Scans the step starting at `buf[pos]` (which must exist). Mirrors
-/// the in-memory binary parser byte for byte so the streaming checker
-/// and [`crate::parse_drat_binary`] report identical positioned errors.
-fn scan_step(
-    buf: &[u8],
-    pos: usize,
-    base: u64,
-    is_final: bool,
-    lits: &mut Vec<Lit>,
-) -> Scan {
-    let abs = |p: usize| (base + p as u64) as usize;
-    lits.clear();
-    let kind = match buf[pos] {
-        b'a' => DratStepKind::Add,
-        b'd' => DratStepKind::Delete,
-        byte => {
-            return Scan::Fail(ParseDratError::BadPrefix {
-                offset: abs(pos),
-                byte,
-            })
-        }
-    };
-    let mut p = pos + 1;
-    loop {
-        if p >= buf.len() {
-            return if is_final {
-                Scan::Fail(ParseDratError::UnexpectedEof { offset: abs(p) })
-            } else {
-                Scan::NeedMore
-            };
-        }
-        if buf[p] == 0 {
-            return Scan::Step { kind, next: p + 1 };
-        }
-        let start = p;
-        match read_varint(buf, &mut p) {
-            Ok(code) => {
-                // standard binary-DRAT mapping: literal l ↦ 2l
-                // (positive), 2|l|+1 (negative); 0 terminates, 1 would
-                // be variable zero
-                if code < 2 {
-                    return Scan::Fail(ParseDratError::LiteralOutOfRange {
-                        offset: abs(start),
-                    });
-                }
-                let magnitude = (code >> 1) as i32;
-                lits.push(Lit::from_dimacs(if code & 1 == 1 {
-                    -magnitude
-                } else {
-                    magnitude
-                }));
-            }
-            Err(VarintFault::Overflow) => {
-                return Scan::Fail(ParseDratError::LiteralOutOfRange {
-                    offset: abs(start),
-                })
-            }
-            Err(VarintFault::TooLong) => {
-                return Scan::Fail(ParseDratError::BadVarint { offset: abs(start) })
-            }
-            Err(VarintFault::Truncated) => {
-                return if is_final {
-                    Scan::Fail(ParseDratError::BadVarint { offset: abs(start) })
-                } else {
-                    Scan::NeedMore
-                };
-            }
-        }
-    }
-}
 
 /// Streams the proof file forward step by step through a bounded chunk
 /// buffer, hashing every byte as it is read.
@@ -1045,19 +958,6 @@ fn emit(
 // The windowed backward checker
 // ---------------------------------------------------------------------
 
-enum Sub {
-    Conflict(Conflict),
-    Vacuous,
-    NoConflict,
-    Interrupted(Stopped),
-}
-
-enum Rat {
-    Holds,
-    Fails,
-    Interrupted(Stopped),
-}
-
 /// One parsed step of a window, oldest first.
 struct WinStep {
     kind: DratStepKind,
@@ -1074,18 +974,22 @@ struct WalkState {
     num_checked: usize,
 }
 
-/// The resident state of the windowed checker: engine, live clauses,
-/// marks, and the content-addressed stacks pairing backward-walk
-/// crossings with the forward lifecycle that pass 1 replayed.
+/// The resident state of the windowed checker: the kernel's store,
+/// engine and marks, and the content-addressed stacks pairing
+/// backward-walk crossings with the forward lifecycle that pass 1
+/// replayed.
+///
+/// Unlike the in-memory walk, which keeps a set of the live units, the
+/// kernel here scans every unit clause the store has held and skips the
+/// deleted ones. The list is part of the modeled residency (`units.len()`
+/// entries of `RESIDENCY_UNIT` bytes, dropped by a store rebuild), so
+/// replacing it would change the degradation ladder's decisions; a
+/// window's rebuild keeps it short on long proofs. The occurrence lists
+/// are likewise kept up to date as clauses arrive, since the model
+/// counts their entries.
 struct StreamChecker<P: Propagator> {
-    db: P::Store,
-    prop: P,
-    occ: Vec<Vec<ClauseRef>>,
+    kernel: Kernel<P, Vec<(ClauseRef, Lit)>>,
     occ_entries: u64,
-    units: Vec<(ClauseRef, Lit)>,
-    empties: Vec<ClauseRef>,
-    marked: Vec<bool>,
-    seen: Vec<bool>,
     /// content key → stack of `(global seq, ref)`, most recent last.
     /// Stand-ins resurrected by the walk use `seq = u64::MAX`.
     refs: HashMap<Vec<u32>, Vec<(u64, ClauseRef)>>,
@@ -1109,12 +1013,6 @@ impl<P: Propagator> StreamChecker<P> {
         num_vars: usize,
     ) -> Self {
         let num_original = formula.num_clauses();
-        let mut db = P::Store::new();
-        let mut prop = P::new(num_vars);
-        let mut occ: Vec<Vec<ClauseRef>> = vec![Vec::new(); 2 * num_vars];
-        let mut occ_entries = 0u64;
-        let mut units = Vec::new();
-        let mut empties = Vec::new();
 
         // partition the live set: formula instances keep their index,
         // proof additions are re-added in ascending sequence
@@ -1133,209 +1031,97 @@ impl<P: Propagator> StreamChecker<P> {
         }
         proof_entries.sort_by_key(|(_, e)| e.seq);
 
-        let attach = |db: &mut P::Store,
-                          prop: &mut P,
-                          units: &mut Vec<(ClauseRef, Lit)>,
-                          empties: &mut Vec<ClauseRef>,
-                          r: ClauseRef| {
-            match prop.attach_clause(db, r) {
-                Attach::Watched => {}
-                Attach::Unit(l) => units.push((r, l)),
-                Attach::Empty => empties.push(r),
-            }
+        let mut checker = StreamChecker::<P> {
+            kernel: Kernel::new(num_vars, Vec::new()),
+            occ_entries: 0,
+            refs: HashMap::new(),
+            live_count: 0,
+            live_words: 0,
+            num_original,
+            num_vars,
+            trailing_empty: None,
         };
-
-        let mut refs: HashMap<Vec<u32>, Vec<(u64, ClauseRef)>> = HashMap::new();
-        let mut marked = Vec::new();
-        let mut live_count = 0u64;
-        let mut live_words = 0u64;
+        checker.kernel.occ = vec![Vec::new(); 2 * num_vars];
         for (i, clause) in formula.iter().enumerate() {
-            let r = db.add_clause(clause.lits(), false);
+            let r = checker.kernel.db.add_clause(clause.lits(), false);
             debug_assert_eq!(r.index(), i);
             if formula_live[i] {
-                attach(&mut db, &mut prop, &mut units, &mut empties, r);
-                for &l in clause.lits() {
-                    occ[l.idx()].push(r);
-                }
-                occ_entries += clause.lits().len() as u64;
-                refs.entry(content_key(clause.lits()))
-                    .or_default()
-                    .push((i as u64, r));
-                live_count += 1;
-                live_words += clause.lits().len() as u64;
+                checker.admit(r, content_key(clause.lits()), i as u64);
             } else {
-                db.delete_clause(r);
+                checker.kernel.db.delete_clause(r);
             }
-            marked.push(formula_marked[i]);
+            checker.kernel.marked.push(formula_marked[i]);
         }
         for (key, entry) in proof_entries {
-            let r = db.add_clause(&entry.lits, true);
-            attach(&mut db, &mut prop, &mut units, &mut empties, r);
-            for &l in entry.lits.iter() {
-                occ[l.idx()].push(r);
-            }
-            occ_entries += entry.lits.len() as u64;
-            refs.entry(key).or_default().push((entry.seq, r));
-            live_count += 1;
-            live_words += entry.lits.len() as u64;
-            marked.push(entry.marked);
+            let r = checker.kernel.db.add_clause(&entry.lits, true);
+            checker.admit(r, key, entry.seq);
+            checker.kernel.marked.push(entry.marked);
         }
         // per-key stacks must be LIFO in global sequence
-        for stack in refs.values_mut() {
+        for stack in checker.refs.values_mut() {
             stack.sort_by_key(|&(seq, _)| seq);
         }
         if let Some(bitmap) = marked_formula {
             for (i, &m) in bitmap.iter().enumerate().take(num_original) {
-                marked[i] |= m;
+                checker.kernel.marked[i] |= m;
             }
         }
-        StreamChecker {
-            db,
-            prop,
-            occ,
-            occ_entries,
-            units,
-            empties,
-            marked,
-            seen: vec![false; num_vars],
-            refs,
-            live_count,
-            live_words,
-            num_original,
-            num_vars,
-            trailing_empty: None,
+        checker
+    }
+
+    /// Makes the stored clause `r` live: attaches it, lists its
+    /// occurrences and pushes it on its content stack with sequence
+    /// number `seq`.
+    fn admit(&mut self, r: ClauseRef, key: Vec<u32>, seq: u64) {
+        self.attach(r);
+        self.refs.entry(key).or_default().push((seq, r));
+        self.live_count += 1;
+        self.live_words += self.kernel.db.clause_len(r) as u64;
+    }
+
+    /// Attaches the stored clause `r` and lists its occurrences.
+    fn attach(&mut self, r: ClauseRef) {
+        let kernel = &mut self.kernel;
+        match kernel.prop.attach_clause(&mut kernel.db, r) {
+            Attach::Watched => {}
+            Attach::Unit(l) => kernel.units.push((r, l)),
+            Attach::Empty => kernel.empties.push(r),
         }
+        for &l in kernel.db.lits(r) {
+            kernel.occ[l.idx()].push(r);
+        }
+        self.occ_entries += kernel.db.clause_len(r) as u64;
     }
 
     /// The modeled residency of everything that persists across windows.
     fn fixed_residency(&self, granule_count: usize) -> u64 {
-        self.db.arena_len() as u64 * 4
+        self.kernel.db.arena_len() as u64 * 4
             + self.occ_entries * RESIDENCY_OCC
             + self.num_vars as u64 * RESIDENCY_PER_VAR
             + self.live_count * RESIDENCY_STACK_ENTRY
             + self.live_words * 4
-            + self.units.len() as u64 * RESIDENCY_UNIT
+            + self.kernel.units.len() as u64 * RESIDENCY_UNIT
             + granule_count as u64 * RESIDENCY_GRANULE
     }
+}
 
-    /// One budgeted propagation check over the currently live clauses —
-    /// the same procedure as the in-memory backward checker.
-    ///
-    /// Unlike the in-memory checker, which keeps a set of the live units,
-    /// this scans every unit clause in the store and skips the deleted
-    /// ones. The list is part of the modeled residency (`units.len()`
-    /// entries of `RESIDENCY_UNIT` bytes, dropped by a store rebuild), so
-    /// replacing it would change the degradation ladder's decisions; a
-    /// window's rebuild keeps it short on long proofs.
-    fn sub_check(&mut self, assumptions: &[Lit], fuel: &mut Fuel<'_>) -> Sub {
-        if let Some(&r) = self.empties.iter().find(|r| !self.db.is_deleted(**r)) {
-            return Sub::Conflict(Conflict { clause: r });
-        }
-        self.prop.reset();
-        self.prop.push_level();
-        for &l in assumptions {
-            match self.prop.value(l) {
-                // duplicate assumption
-                LBool::True => {}
-                // clashing assumptions: the obligation is tautological
-                LBool::False => return Sub::Vacuous,
-                LBool::Unassigned => {
-                    let ok = self.prop.assume(l);
-                    debug_assert!(ok, "unassigned literal must be assumable");
-                }
-            }
-        }
-        for i in 0..self.units.len() {
-            let (r, l) = self.units[i];
-            if self.db.is_deleted(r) {
-                continue;
-            }
-            if let Err(conflict) = self.prop.enqueue_propagated(l, r) {
-                return Sub::Conflict(conflict);
-            }
-        }
-        match self.prop.propagate_budgeted(&mut self.db, fuel) {
-            BudgetedPropagation::Conflict(c) => Sub::Conflict(c),
-            BudgetedPropagation::Fixpoint => Sub::NoConflict,
-            BudgetedPropagation::Interrupted(s) => Sub::Interrupted(s),
-        }
-    }
-
-    /// RAT fallback on the clause's first literal (same formulation as
-    /// the in-memory checker; no hints are recorded in streaming mode).
-    fn rat_check(
-        &mut self,
-        clause: &[Lit],
-        fuel: &mut Fuel<'_>,
-        stats: &mut DratStats,
-    ) -> Rat {
-        let Some(&pivot) = clause.first() else {
-            return Rat::Fails; // no pivot to resolve on
-        };
-        let negated_c: Vec<Lit> = clause.iter().map(|&l| !l).collect();
-        // collect first: sub-checks mutate watch lists
-        let candidates: Vec<ClauseRef> = self.occ[(!pivot).idx()]
-            .iter()
-            .copied()
-            .filter(|&r| !self.db.is_deleted(r))
-            .collect();
-        for d in candidates {
-            stats.num_resolvent_checks += 1;
-            let mut assumptions = negated_c.clone();
-            let d_lits: Vec<Lit> = self.db.lits(d).to_vec();
-            for l in d_lits {
-                if l != !pivot {
-                    assumptions.push(!l);
-                }
-            }
-            match self.sub_check(&assumptions, fuel) {
-                Sub::Conflict(conflict) => {
-                    self.mark_cone(conflict);
-                    self.marked[d.index()] = true;
-                }
-                Sub::Vacuous => {
-                    // tautological resolvent: vacuously fine
-                    self.marked[d.index()] = true;
-                }
-                Sub::NoConflict => return Rat::Fails,
-                Sub::Interrupted(s) => return Rat::Interrupted(s),
-            }
-        }
-        Rat::Holds
-    }
-
-    /// Marks the conflict cone: the conflicting clause plus every reason
-    /// clause that fed it, walking the trail backward.
-    fn mark_cone(&mut self, conflict: Conflict) {
-        self.marked[conflict.clause.index()] = true;
-        let mut touched: Vec<Var> = Vec::new();
-        for &q in self.db.lits(conflict.clause) {
-            if !self.seen[q.var().idx()] {
-                self.seen[q.var().idx()] = true;
-                touched.push(q.var());
-            }
-        }
-        for idx in (0..self.prop.trail().len()).rev() {
-            let lit = self.prop.trail()[idx];
-            if !self.seen[lit.var().idx()] {
-                continue;
-            }
-            match self.prop.reason(lit.var()) {
-                Reason::Assumed | Reason::Decision => {}
-                Reason::Propagated(c) => {
-                    self.marked[c.index()] = true;
-                    for &q in self.db.lits(c) {
-                        if q != lit && !self.seen[q.var().idx()] {
-                            self.seen[q.var().idx()] = true;
-                            touched.push(q.var());
-                        }
-                    }
-                }
-            }
-        }
-        for v in touched {
-            self.seen[v.idx()] = false;
-        }
+/// The outcome of a walk that ran out of fuel. `checkpointed` is
+/// patched by the caller, which knows whether a checkpoint file exists.
+fn interrupted(
+    stopped: Stopped,
+    walk: &WalkState,
+    fuel: &Fuel<'_>,
+    total_adds: u64,
+) -> StreamOutcome {
+    StreamOutcome::Exhausted {
+        reason: stopped.into(),
+        progress: Progress {
+            steps_checked: walk.num_checked,
+            steps_total: total_adds as usize,
+            propagations: fuel.used_propagations,
+            clause_visits: fuel.used_clause_visits,
+        },
+        checkpointed: false,
     }
 }
 
@@ -1359,23 +1145,9 @@ impl<P: Propagator> StreamChecker<P> {
             walk.step_no -= 1;
             match step.kind {
                 DratStepKind::Delete => {
-                    let r = self.db.add_clause(&step.lits, true);
-                    self.marked.push(false);
-                    match self.prop.attach_clause(&mut self.db, r) {
-                        Attach::Watched => {}
-                        Attach::Unit(l) => self.units.push((r, l)),
-                        Attach::Empty => self.empties.push(r),
-                    }
-                    for &l in &step.lits {
-                        self.occ[l.idx()].push(r);
-                    }
-                    self.occ_entries += step.lits.len() as u64;
-                    self.refs
-                        .entry(content_key(&step.lits))
-                        .or_default()
-                        .push((u64::MAX, r));
-                    self.live_count += 1;
-                    self.live_words += step.lits.len() as u64;
+                    let r = self.kernel.db.add_clause(&step.lits, true);
+                    self.kernel.marked.push(false);
+                    self.admit(r, content_key(&step.lits), u64::MAX);
                 }
                 DratStepKind::Add => {
                     walk.add_no -= 1;
@@ -1394,9 +1166,10 @@ impl<P: Propagator> StreamChecker<P> {
                     };
                     self.live_count -= 1;
                     self.live_words -= step.lits.len() as u64;
-                    if !self.db.is_deleted(r) {
-                        self.prop.detach_clause(&self.db, r);
-                        self.db.delete_clause(r);
+                    let kernel = &mut self.kernel;
+                    if !kernel.db.is_deleted(r) {
+                        kernel.prop.detach_clause(&kernel.db, r);
+                        kernel.db.delete_clause(r);
                     }
                     if Some(r) == self.trailing_empty {
                         // the claim being established; the terminal
@@ -1405,45 +1178,23 @@ impl<P: Propagator> StreamChecker<P> {
                         self.trailing_empty = None;
                         continue;
                     }
-                    if !self.marked[r.index()] {
+                    if !kernel.marked[r.index()] {
                         continue;
                     }
                     walk.num_checked += 1;
-                    let negated: Vec<Lit> =
-                        step.lits.iter().map(|&l| !l).collect();
-                    match self.sub_check(&negated, fuel) {
-                        Sub::Conflict(conflict) => {
-                            self.mark_cone(conflict);
-                            stats.num_rup += 1;
+                    match kernel.implied(&step.lits, true, None, fuel, stats) {
+                        Implied::Yes => {}
+                        Implied::No => {
+                            return Err(StreamOutcome::Rejected {
+                                step: Some(walk.add_no as usize),
+                                error: DratError::NotImplied {
+                                    step: walk.add_no as usize,
+                                    clause: Clause::new(step.lits.clone()),
+                                },
+                            })
                         }
-                        Sub::Vacuous => {
-                            stats.num_rup += 1;
-                        }
-                        Sub::NoConflict => {
-                            match self.rat_check(&step.lits, fuel, stats) {
-                                Rat::Holds => stats.num_rat += 1,
-                                Rat::Fails => {
-                                    return Err(StreamOutcome::Rejected {
-                                        step: Some(walk.add_no as usize),
-                                        error: DratError::NotImplied {
-                                            step: walk.add_no as usize,
-                                            clause: Clause::new(
-                                                step.lits.clone(),
-                                            ),
-                                        },
-                                    })
-                                }
-                                Rat::Interrupted(s) => {
-                                    return Err(self.interrupted(
-                                        s, walk, fuel, total_adds,
-                                    ))
-                                }
-                            }
-                        }
-                        Sub::Interrupted(s) => {
-                            return Err(
-                                self.interrupted(s, walk, fuel, total_adds)
-                            )
+                        Implied::Interrupted(s) => {
+                            return Err(interrupted(s, walk, fuel, total_adds))
                         }
                     }
                 }
@@ -1452,68 +1203,26 @@ impl<P: Propagator> StreamChecker<P> {
         Ok(())
     }
 
-    fn interrupted(
-        &self,
-        stopped: Stopped,
-        walk: &WalkState,
-        fuel: &Fuel<'_>,
-        total_adds: u64,
-    ) -> StreamOutcome {
-        StreamOutcome::Exhausted {
-            reason: stopped.into(),
-            progress: Progress {
-                steps_checked: walk.num_checked,
-                steps_total: total_adds as usize,
-                propagations: fuel.used_propagations,
-                clause_visits: fuel.used_clause_visits,
-            },
-            // patched by the caller, which knows whether a checkpoint
-            // file exists
-            checkpointed: false,
-        }
-    }
-
     /// Rebuilds the clause store from the live set, dropping the arena
     /// garbage, stale unit entries, and stale occurrence entries that
     /// accumulate as the walk retires clauses. Formula clauses keep
     /// their dense refs; surviving stand-ins are re-added in ref order
     /// and every stack is remapped.
     fn rebuild(&mut self) {
-        let mut db = P::Store::new();
-        let mut prop = P::new(self.num_vars);
-        let mut occ: Vec<Vec<ClauseRef>> = vec![Vec::new(); 2 * self.num_vars];
-        let mut occ_entries = 0u64;
-        let mut units = Vec::new();
-        let mut empties = Vec::new();
-        let mut marked = Vec::new();
-
-        let attach = |db: &mut P::Store,
-                          prop: &mut P,
-                          units: &mut Vec<(ClauseRef, Lit)>,
-                          empties: &mut Vec<ClauseRef>,
-                          r: ClauseRef| {
-            match prop.attach_clause(db, r) {
-                Attach::Watched => {}
-                Attach::Unit(l) => units.push((r, l)),
-                Attach::Empty => empties.push(r),
-            }
-        };
+        let old = std::mem::replace(&mut self.kernel, Kernel::new(self.num_vars, Vec::new()));
+        self.kernel.occ = vec![Vec::new(); 2 * self.num_vars];
+        self.occ_entries = 0;
 
         for i in 0..self.num_original {
-            let old = ClauseRef::from_index(i);
-            let lits = self.db.lits(old).to_vec();
-            let r = db.add_clause(&lits, false);
+            let old_ref = ClauseRef::from_index(i);
+            let r = self.kernel.db.add_clause(old.db.lits(old_ref), false);
             debug_assert_eq!(r.index(), i);
-            if self.db.is_deleted(old) {
-                db.delete_clause(r);
+            if old.db.is_deleted(old_ref) {
+                self.kernel.db.delete_clause(r);
             } else {
-                attach(&mut db, &mut prop, &mut units, &mut empties, r);
-                for &l in &lits {
-                    occ[l.idx()].push(r);
-                }
-                occ_entries += lits.len() as u64;
+                self.attach(r);
             }
-            marked.push(self.marked[i]);
+            self.kernel.marked.push(old.marked[i]);
         }
 
         // every learned clause the walk still needs is referenced by a
@@ -1528,23 +1237,19 @@ impl<P: Propagator> StreamChecker<P> {
             .collect();
         keep.sort_by_key(|r| r.index());
         let mut remap: HashMap<u32, ClauseRef> = HashMap::new();
-        for old in keep {
-            let lits = self.db.lits(old).to_vec();
-            let r = db.add_clause(&lits, true);
-            if self.db.is_deleted(old) {
-                db.delete_clause(r);
+        for old_ref in keep {
+            let r = self.kernel.db.add_clause(old.db.lits(old_ref), true);
+            if old.db.is_deleted(old_ref) {
+                self.kernel.db.delete_clause(r);
             } else {
-                attach(&mut db, &mut prop, &mut units, &mut empties, r);
-                for &l in &lits {
-                    occ[l.idx()].push(r);
-                }
-                occ_entries += lits.len() as u64;
+                self.attach(r);
             }
-            marked.push(self.marked[old.index()]);
-            remap.insert(old.index() as u32, r);
+            self.kernel.marked.push(old.marked[old_ref.index()]);
+            remap.insert(old_ref.index() as u32, r);
         }
+        let num_original = self.num_original;
         let map = |r: ClauseRef| {
-            if r.index() < self.num_original {
+            if r.index() < num_original {
                 r
             } else {
                 remap[&(r.index() as u32)]
@@ -1556,14 +1261,6 @@ impl<P: Propagator> StreamChecker<P> {
             }
         }
         self.trailing_empty = self.trailing_empty.map(map);
-
-        self.db = db;
-        self.prop = prop;
-        self.occ = occ;
-        self.occ_entries = occ_entries;
-        self.units = units;
-        self.empties = empties;
-        self.marked = marked;
     }
 
     /// Extracts the checkpointable mark state: the formula bitmap plus
@@ -1571,16 +1268,16 @@ impl<P: Propagator> StreamChecker<P> {
     /// determinism). The deleted-but-stacked trailing empty is excluded
     /// — its mark is irrelevant to resumption (its crossing is skipped).
     fn collect_marked_live(&self) -> (Vec<bool>, Vec<Vec<i32>>) {
-        let marked_formula = self.marked[..self.num_original].to_vec();
+        let marked_formula = self.kernel.marked[..self.num_original].to_vec();
         let mut marked_live: Vec<Vec<i32>> = Vec::new();
         for stack in self.refs.values() {
             for &(_, r) in stack {
                 if r.index() >= self.num_original
-                    && self.marked[r.index()]
-                    && !self.db.is_deleted(r)
+                    && self.kernel.marked[r.index()]
+                    && !self.kernel.db.is_deleted(r)
                 {
                     marked_live.push(
-                        self.db.lits(r).iter().map(|l| l.to_dimacs()).collect(),
+                        self.kernel.db.lits(r).iter().map(|l| l.to_dimacs()).collect(),
                     );
                 }
             }
@@ -1595,7 +1292,7 @@ impl<P: Propagator> StreamChecker<P> {
     fn finalize(&mut self) -> Result<Vec<usize>, StreamOutcome> {
         let mut by_key: HashMap<Vec<u32>, Vec<usize>> = HashMap::new();
         for i in 0..self.num_original {
-            let key = content_key(self.db.lits(ClauseRef::from_index(i)));
+            let key = content_key(self.kernel.db.lits(ClauseRef::from_index(i)));
             by_key.entry(key).or_default().push(i);
         }
         let diverged = || {
@@ -1621,11 +1318,11 @@ impl<P: Propagator> StreamChecker<P> {
             };
             let needed = stack
                 .iter()
-                .filter(|&&(_, r)| self.marked[r.index()])
+                .filter(|&&(_, r)| self.kernel.marked[r.index()])
                 .count();
             let already = instances
                 .iter()
-                .filter(|&&i| self.marked[i])
+                .filter(|&&i| self.kernel.marked[i])
                 .count();
             if needed > already {
                 let mut extra = needed - already;
@@ -1633,14 +1330,14 @@ impl<P: Propagator> StreamChecker<P> {
                     if extra == 0 {
                         break;
                     }
-                    if !self.marked[i] {
-                        self.marked[i] = true;
+                    if !self.kernel.marked[i] {
+                        self.kernel.marked[i] = true;
                         extra -= 1;
                     }
                 }
             }
         }
-        Ok((0..self.num_original).filter(|&i| self.marked[i]).collect())
+        Ok((0..self.num_original).filter(|&i| self.kernel.marked[i]).collect())
     }
 }
 
@@ -1849,7 +1546,7 @@ fn run_stream<R: Read + Seek, P: Propagator>(
             .filter(|&&(seq, _)| seq == num_original + index.total_adds - 1)
             .map(|&(_, r)| r);
         if let Some(r) = trailing {
-            checker.db.delete_clause(r);
+            checker.kernel.db.delete_clause(r);
             checker.trailing_empty = Some(r);
         }
     }
@@ -1857,21 +1554,21 @@ fn run_stream<R: Read + Seek, P: Propagator>(
     // Terminal check: only a fresh run performs it — the existence of a
     // checkpoint implies it already passed.
     if resume.is_none() {
-        match checker.sub_check(&[], &mut fuel) {
-            Sub::Conflict(conflict) => checker.mark_cone(conflict),
-            Sub::Vacuous => unreachable!("no assumptions, no clash"),
-            Sub::NoConflict => {
+        match checker.kernel.check(&[], &mut fuel) {
+            Check::Conflict(conflict) => checker.kernel.mark_conflict(conflict, None),
+            Check::Vacuous => unreachable!("no assumptions, no clash"),
+            Check::NoConflict => {
                 return StreamOutcome::Rejected {
                     step: None,
                     error: DratError::NotARefutation,
                 }
             }
-            Sub::Interrupted(s) => {
-                return checker.interrupted(s, &walk, &fuel, index.total_adds)
+            Check::Interrupted(s) => {
+                return interrupted(s, &walk, &fuel, index.total_adds)
             }
         }
         if let Some(r) = checker.trailing_empty {
-            checker.marked[r.index()] = true;
+            checker.kernel.marked[r.index()] = true;
         }
         emit(events, "stream.terminal", vec![("ok", Json::from(true))]);
     } else {
@@ -1951,7 +1648,7 @@ fn run_stream<R: Read + Seek, P: Propagator>(
                 peak = peak.max(projected);
                 break j;
             }
-            if !rebuilt_here && checker.db.garbage_len() > 0 {
+            if !rebuilt_here && checker.kernel.db.garbage_len() > 0 {
                 checker.rebuild();
                 rebuilds += 1;
                 rebuilt_here = true;

@@ -306,3 +306,174 @@ proptest! {
         }
     }
 }
+
+/// The binary-DRAT parser as it stood before it became a loop over the
+/// streaming checker's step scanner, kept verbatim (with the varint
+/// reader it called) as the reference the shared decoder must match.
+mod reference {
+    use cnf::{Clause, Lit};
+    use proofver::{DratProof, DratStep, DratStepKind, ParseDratError};
+
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    enum VarintFault {
+        Truncated,
+        TooLong,
+        Overflow,
+    }
+
+    fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u32, VarintFault> {
+        let mut value: u32 = 0;
+        let mut shift = 0u32;
+        loop {
+            if *pos >= bytes.len() {
+                return Err(VarintFault::Truncated);
+            }
+            let byte = bytes[*pos];
+            *pos += 1;
+            let chunk = u32::from(byte & 0x7f);
+            // the fifth byte may only contribute bits 28..32: anything
+            // above would silently shift out of the u32
+            if shift == 28 && chunk > 0x0f {
+                return Err(VarintFault::Overflow);
+            }
+            value |= chunk << shift;
+            if byte & 0x80 == 0 {
+                return Ok(value);
+            }
+            shift += 7;
+            if shift > 28 {
+                // a sixth byte cannot contribute to a 32-bit value
+                return Err(VarintFault::TooLong);
+            }
+        }
+    }
+
+    fn decode_drat_lit(bytes: &[u8], pos: &mut usize) -> Result<Lit, ParseDratError> {
+        let start = *pos;
+        let code = match read_varint(bytes, pos) {
+            Ok(v) => v,
+            Err(VarintFault::Overflow) => {
+                return Err(ParseDratError::LiteralOutOfRange { offset: start });
+            }
+            Err(VarintFault::Truncated | VarintFault::TooLong) => {
+                return Err(ParseDratError::BadVarint { offset: start });
+            }
+        };
+        // standard binary-DRAT mapping: literal l ↦ 2l (positive), 2|l|+1
+        // (negative); 0 is the terminator, 1 would be variable zero
+        if code < 2 {
+            return Err(ParseDratError::LiteralOutOfRange { offset: start });
+        }
+        let magnitude = (code >> 1) as i32;
+        Ok(Lit::from_dimacs(if code & 1 == 1 { -magnitude } else { magnitude }))
+    }
+
+    /// Parses binary DRAT (drat-trim's compressed encoding): each step is
+    /// an `'a'`/`'d'` prefix byte followed by LEB128 varints of the mapped
+    /// literals and a `0` terminator.
+    ///
+    /// # Errors
+    ///
+    /// See [`parse_drat`]; errors carry the byte offset of the fault.
+    pub fn parse_drat_binary(bytes: &[u8]) -> Result<DratProof, ParseDratError> {
+        let mut steps = Vec::new();
+        // one scratch buffer for every step; each clause is then allocated
+        // once, at its exact size
+        let mut lits = Vec::new();
+        let mut pos = 0usize;
+        while pos < bytes.len() {
+            let step_start = pos;
+            let kind = match bytes[pos] {
+                b'a' => DratStepKind::Add,
+                b'd' => DratStepKind::Delete,
+                byte => return Err(ParseDratError::BadPrefix { offset: pos, byte }),
+            };
+            pos += 1;
+            lits.clear();
+            loop {
+                if pos >= bytes.len() {
+                    return Err(ParseDratError::UnexpectedEof { offset: pos });
+                }
+                if bytes[pos] == 0 {
+                    pos += 1;
+                    break;
+                }
+                lits.push(decode_drat_lit(bytes, &mut pos)?);
+            }
+            steps.push(DratStep { kind, clause: Clause::from_lits(&lits), position: step_start });
+        }
+        Ok(DratProof::new(steps))
+    }
+}
+
+/// Step sequences whose literals need varints of one to five bytes.
+fn wide_steps_strategy() -> impl Strategy<Value = Vec<DratStep>> {
+    let lit = prop_oneof![
+        dimacs_lit(9),
+        dimacs_lit(100),
+        dimacs_lit(20_000),
+        dimacs_lit(3_000_000),
+        dimacs_lit(i32::MAX),
+    ];
+    prop::collection::vec(
+        (any::<bool>(), prop::collection::vec(lit, 0..5)),
+        0..8,
+    )
+    .prop_map(|raw| {
+        raw.into_iter()
+            .map(|(delete, lits)| {
+                let clause = cnf::Clause::from_dimacs(&lits);
+                if delete {
+                    DratStep::delete(clause)
+                } else {
+                    DratStep::add(clause)
+                }
+            })
+            .collect()
+    })
+}
+
+/// The shared decoder and the reference agree on `bytes`: the same
+/// steps, positions included, or the same positioned error.
+fn assert_parsers_agree(bytes: &[u8]) -> Result<(), TestCaseError> {
+    prop_assert_eq!(
+        proofver::parse_drat_binary(bytes),
+        reference::parse_drat_binary(bytes),
+        "{:?}",
+        bytes
+    );
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// On a valid proof, on every prefix of it and on every single-bit
+    /// corruption of it, the binary parser returns what the reference
+    /// returns.
+    #[test]
+    fn binary_parser_matches_the_reference(steps in wide_steps_strategy()) {
+        let bytes = encode_drat_to_vec(&DratProof::new(steps));
+        for cut in 0..=bytes.len() {
+            assert_parsers_agree(&bytes[..cut])?;
+        }
+        for at in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut flipped = bytes.clone();
+                flipped[at] ^= 1 << bit;
+                assert_parsers_agree(&flipped)?;
+            }
+        }
+    }
+
+    /// Arbitrary bytes after a step prefix: overlong and overflowing
+    /// varints, stray prefixes, missing terminators.
+    #[test]
+    fn binary_parser_matches_the_reference_on_noise(
+        noise in prop::collection::vec(any::<u8>(), 0..40),
+    ) {
+        let mut bytes = vec![b'a'];
+        bytes.extend(noise);
+        assert_parsers_agree(&bytes)?;
+    }
+}
