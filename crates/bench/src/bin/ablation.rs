@@ -6,17 +6,56 @@
 //!    resolution graphs while decision ("global") clauses give small
 //!    conflict-clause proofs;
 //! 3. proof-logging overhead — §1 claims "outputting all the conflict
-//!    clauses took about 10% of the total runtime".
+//!    clauses took about 10% of the total runtime"; clause logging and
+//!    full resolution-chain logging against no logging;
+//! 4. plain vs deletion-aware checking (§2 note / DRUP);
+//! 5. netlist Tseitin vs AIG-strashed encoding;
+//! 6. preprocessing (subsumption + variable elimination);
+//! 7. BCP engines on long clauses — §6 adopts watched literals because
+//!    conflict-clause proofs contain many long clauses;
+//! 8. proof serialisation, text vs binary (extension).
 //!
-//! Run with `cargo run -p bench --release --bin ablation`.
+//! Every verification is checked, so a wrong verdict panics. Run with
+//! `cargo run -p bench --release --bin ablation`.
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use bench::render_table;
+use satverify::bcp::{
+    ArenaWatchedPropagator, Attach, ClauseArena, ClauseDb, CountingPropagator, HeadTailPropagator,
+    Propagator, WatchedPropagator,
+};
 use satverify::cdcl::{LearningScheme, Solver, SolverConfig};
-use satverify::cnfgen::{bmc_counter, pigeonhole, tseitin_grid, NamedInstance};
-use satverify::proofver::{verify, verify_all};
+use satverify::cnf::{CnfFormula, Lit, Var};
+use satverify::cnfgen::{bmc_counter, pigeonhole, random_ksat, tseitin_grid, NamedInstance};
+use satverify::proofver::{
+    decode_proof, encode_proof_to_vec, parse_proof_str, to_proof_string, verify, verify_all,
+};
 use satverify::{proof_from_trace, solve_and_verify};
+
+/// Times `run(i)` for each of `n` configurations, `rounds` times in
+/// rotation, so that a slow stretch of the host slows every
+/// configuration alike. Returns each configuration's samples in seconds.
+fn rotate(rounds: usize, n: usize, mut run: impl FnMut(usize)) -> Vec<Vec<f64>> {
+    let mut samples = vec![Vec::with_capacity(rounds); n];
+    for _ in 0..rounds {
+        for (i, times) in samples.iter_mut().enumerate() {
+            let start = Instant::now();
+            run(i);
+            times.push(start.elapsed().as_secs_f64());
+        }
+    }
+    samples
+}
+
+/// The lower quartile, median and upper quartile of `samples`.
+fn quartiles(samples: &[f64]) -> [f64; 3] {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let n = sorted.len();
+    [sorted[n / 4], sorted[n / 2], sorted[3 * n / 4]]
+}
 
 fn ablation_instances() -> Vec<NamedInstance> {
     vec![
@@ -118,39 +157,51 @@ fn learning_schemes() {
 
 fn logging_overhead() {
     println!("Ablation 3. Proof-logging overhead (§1: ~10% of runtime)\n");
+    const ROUNDS: usize = 9;
+    let configs = [
+        SolverConfig::new().log_proof(false),
+        SolverConfig::new(),
+        SolverConfig::new().log_resolution_chains(true),
+    ];
     let mut rows = Vec::new();
     for instance in ablation_instances() {
-        // median of 3 runs each way
-        let time_with = median_solve_time(&instance, true);
-        let time_without = median_solve_time(&instance, false);
-        let overhead = (time_with / time_without - 1.0) * 100.0;
+        let times = rotate(ROUNDS, configs.len(), |i| {
+            let result = satverify::cdcl::solve(&instance.formula, configs[i].clone());
+            assert!(result.is_unsat());
+        });
+        let [q1, off, q3] = quartiles(&times[0]);
+        let clauses = quartiles(&times[1])[1];
+        let chains = quartiles(&times[2])[1];
         rows.push(vec![
             instance.name.clone(),
-            format!("{time_without:.3}s"),
-            format!("{time_with:.3}s"),
-            format!("{overhead:+.0}%"),
+            format!("{off:.3}s"),
+            format!("{clauses:.3}s"),
+            format!("{chains:.3}s"),
+            format!("{:+.1}%", (clauses / off - 1.0) * 100.0),
+            format!("{:+.1}%", (chains / off - 1.0) * 100.0),
+            format!("{:.1}%", (q3 - q1) / off * 100.0),
         ]);
     }
     println!(
         "{}",
-        render_table(&["Name", "no logging", "with logging", "overhead"], &rows)
+        render_table(
+            &[
+                "Name",
+                "no logging",
+                "clauses",
+                "chains",
+                "clause overhead",
+                "chain overhead",
+                "no-log IQR",
+            ],
+            &rows
+        )
     );
-}
-
-fn median_solve_time(instance: &NamedInstance, log: bool) -> f64 {
-    let mut times: Vec<f64> = (0..3)
-        .map(|_| {
-            let start = Instant::now();
-            let result = satverify::cdcl::solve(
-                &instance.formula,
-                SolverConfig::new().log_proof(log),
-            );
-            assert!(result.is_unsat());
-            start.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[1]
+    println!(
+        "medians of {ROUNDS} rounds, the three configurations in rotation;\n\
+         no-log IQR is the no-logging runs' interquartile range over their\n\
+         median, and an overhead inside it is noise\n"
+    );
 }
 
 fn deletion_aware_checking() {
@@ -300,6 +351,184 @@ fn preprocessing_effect() {
     );
 }
 
+/// The §6 workload: a seeded random 3-SAT skeleton plus 20-literal
+/// clauses over spread-out variables, mimicking the long clauses of a
+/// conflict-clause proof.
+fn bcp_workload(num_vars: usize) -> CnfFormula {
+    let mut f = random_ksat(3, num_vars, num_vars * 3, 99);
+    for start in 0..(num_vars / 20) {
+        let lits: Vec<i32> = (0..20)
+            .map(|j| {
+                let v = (start * 17 + j * 13) % num_vars + 1;
+                if j % 2 == 0 {
+                    v as i32
+                } else {
+                    -(v as i32)
+                }
+            })
+            .collect();
+        f.add_dimacs_clause(&lits);
+    }
+    f
+}
+
+/// A fixed decision schedule touching a quarter of the variables.
+fn bcp_decisions(num_vars: usize) -> Vec<Lit> {
+    (0..num_vars / 4)
+        .map(|i| {
+            let v = Var::new(((i * 7) % num_vars) as u32);
+            v.lit(i % 3 == 0)
+        })
+        .collect()
+}
+
+/// Decides each unassigned literal of the schedule in turn, propagates,
+/// and undoes the decision on a conflict. The engines share no trait
+/// that covers both stores, so this is a macro.
+macro_rules! replay {
+    ($p:expr, $db:expr, $schedule:expr) => {
+        for &d in $schedule {
+            if $p.assignment().is_unassigned(d) {
+                $p.decide(d);
+                if $p.propagate($db).is_some() {
+                    $p.backtrack_to($p.decision_level() - 1);
+                }
+            }
+        }
+    };
+}
+
+fn visits_watched(f: &CnfFormula, schedule: &[Lit]) -> u64 {
+    let mut db = ClauseDb::from_formula(f);
+    let mut p = WatchedPropagator::new(f.num_vars());
+    let refs: Vec<_> = db.refs().collect();
+    for r in refs {
+        if let Attach::Unit(l) = p.attach_clause(&mut db, r) {
+            let _ = p.enqueue_propagated(l, r);
+        }
+    }
+    replay!(p, &mut db, schedule);
+    p.num_clause_visits()
+}
+
+fn visits_arena(f: &CnfFormula, schedule: &[Lit]) -> u64 {
+    let mut db = ClauseArena::from_formula(f);
+    let mut p = ArenaWatchedPropagator::new(f.num_vars());
+    let bulk = p.attach_all(&mut db);
+    for (r, l) in bulk.units {
+        let _ = p.enqueue_propagated(l, r);
+    }
+    replay!(p, &mut db, schedule);
+    p.num_clause_visits()
+}
+
+fn visits_head_tail(f: &CnfFormula, schedule: &[Lit]) -> u64 {
+    let db = ClauseDb::from_formula(f);
+    let mut p = HeadTailPropagator::new(f.num_vars());
+    p.attach_all(&db);
+    for r in db.refs() {
+        if db.clause_len(r) == 1 {
+            let _ = p.enqueue_unit(db.lits(r)[0], r);
+        }
+    }
+    replay!(p, &db, schedule);
+    p.num_clause_visits()
+}
+
+fn visits_counting(f: &CnfFormula, schedule: &[Lit]) -> u64 {
+    let db = ClauseDb::from_formula(f);
+    let mut p = CountingPropagator::new(f.num_vars());
+    p.attach_all(&db);
+    for r in db.refs() {
+        if db.clause_len(r) == 1 {
+            let _ = p.enqueue_unit(db.lits(r)[0], r);
+        }
+    }
+    replay!(p, &db, schedule);
+    p.num_clause_visits()
+}
+
+/// Runs one engine: build its store, attach, replay the schedule, and
+/// return the clause visits.
+type Drive = fn(&CnfFormula, &[Lit]) -> u64;
+
+const BCP_ENGINES: [(&str, Drive); 4] = [
+    ("watched", visits_watched),
+    ("arena", visits_arena),
+    ("head-tail", visits_head_tail),
+    ("counting", visits_counting),
+];
+
+fn bcp_engines() {
+    println!("Ablation 7. BCP engines on long clauses (§6 note: watched literals)\n");
+    const ROUNDS: usize = 21;
+    let mut rows = Vec::new();
+    for num_vars in [500usize, 2000] {
+        let f = bcp_workload(num_vars);
+        let schedule = bcp_decisions(num_vars);
+        let times = rotate(ROUNDS, BCP_ENGINES.len(), |i| {
+            black_box((BCP_ENGINES[i].1)(&f, &schedule));
+        });
+        for ((name, drive), samples) in BCP_ENGINES.iter().zip(&times) {
+            rows.push(vec![
+                format!("{num_vars} vars / {name}"),
+                format!("{}", drive(&f, &schedule)),
+                format!("{:.2}", quartiles(samples)[1] * 1e3),
+            ]);
+        }
+    }
+    println!(
+        "{}",
+        render_table(
+            &["Workload / engine", "clause visits", "median (ms)"],
+            &rows
+        )
+    );
+    println!(
+        "medians of {ROUNDS} rounds, the engines in rotation. expected shape:\n\
+         watched and arena visit the same clauses; head-tail and counting\n\
+         visit more (§6)\n"
+    );
+}
+
+fn proof_serialisation() {
+    println!("Ablation 8. Proof serialisation: text vs binary (extension)\n");
+    const ROUNDS: usize = 21;
+    let trace = satverify::cdcl::solve(&pigeonhole(7), SolverConfig::default())
+        .into_proof()
+        .expect("UNSAT");
+    let proof = proof_from_trace(&trace);
+    let text = to_proof_string(&proof);
+    let bytes = encode_proof_to_vec(&proof);
+    assert_eq!(parse_proof_str(&text).expect("parses"), proof);
+    assert_eq!(decode_proof(bytes.as_slice()).expect("decodes"), proof);
+    let times = rotate(ROUNDS, 4, |i| match i {
+        0 => {
+            black_box(to_proof_string(&proof));
+        }
+        1 => {
+            black_box(encode_proof_to_vec(&proof));
+        }
+        2 => {
+            black_box(parse_proof_str(&text).expect("parses"));
+        }
+        _ => {
+            black_box(decode_proof(bytes.as_slice()).expect("decodes"));
+        }
+    });
+    let ms = |i: usize| format!("{:.2}", quartiles(&times[i])[1] * 1e3);
+    let rows = vec![
+        vec!["text".into(), format!("{}", text.len()), ms(0), ms(2)],
+        vec!["binary".into(), format!("{}", bytes.len()), ms(1), ms(3)],
+    ];
+    println!("php7 solver proof, {} clauses\n", proof.len());
+    println!(
+        "{}",
+        render_table(&["Format", "bytes", "write (ms)", "parse (ms)"], &rows)
+    );
+    println!("medians of {ROUNDS} rounds, the four operations in rotation\n");
+}
+
 fn proof_roundtrip_sanity() {
     // tiny extra guard: trace → proof conversion is lossless
     let f = pigeonhole(4);
@@ -318,4 +547,33 @@ fn main() {
     deletion_aware_checking();
     aig_frontend();
     preprocessing_effect();
+    bcp_engines();
+    proof_serialisation();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The §6 shape, as an ordering rather than exact counts: the arena
+    /// layout visits what the watched scheme visits, and both schemes
+    /// that do not watch visit more.
+    #[test]
+    fn watched_literals_visit_fewest_clauses() {
+        for num_vars in [500usize, 2000] {
+            let f = bcp_workload(num_vars);
+            let schedule = bcp_decisions(num_vars);
+            let [watched, arena, head_tail, counting] =
+                BCP_ENGINES.map(|(_, drive)| drive(&f, &schedule));
+            assert_eq!(arena, watched, "{num_vars} vars");
+            assert!(
+                head_tail > watched,
+                "{num_vars} vars: {head_tail} vs {watched}"
+            );
+            assert!(
+                counting > watched,
+                "{num_vars} vars: {counting} vs {watched}"
+            );
+        }
+    }
 }

@@ -6,7 +6,10 @@
 //! * `table1` — unsatisfiable-core extraction (Table 1);
 //! * `table2` — proof verification time and size comparison (Table 2);
 //! * `table3` — proof-size ratio as instances scale (Table 3);
-//! * `ablation` — verify1 vs verify2, learning schemes, logging cost.
+//! * `ablation` — the prose claims and extensions, Ablations 1–8:
+//!   verify1 vs verify2, learning schemes, logging cost (clauses and
+//!   chains), deletion-aware checking, AIG encoding, preprocessing,
+//!   BCP engines on long clauses, and text vs binary proof files.
 
 use std::time::Duration;
 

@@ -1374,6 +1374,13 @@ mod tests {
                 .expect_err("mismatch"),
             CheckpointError::Mismatch("proof clause count")
         );
+        // a marks bitmap one clause short of the inputs
+        let mut short = ckpt.clone();
+        short.marks.pop();
+        assert!(matches!(
+            resume_verification(&xor_square(), &p, &short, &Harness::default()),
+            Err(CheckpointError::Malformed(_))
+        ));
     }
 
     #[test]

@@ -768,6 +768,14 @@ impl Checkpoint {
         if version != CHECKPOINT_VERSION {
             return Err(CheckpointError::UnsupportedVersion(version));
         }
+        let kind = field("kind")?.as_str().ok_or(CheckpointError::Malformed(
+            "field `kind` is not a string".into(),
+        ))?;
+        if kind != "proofver-checkpoint" {
+            return Err(CheckpointError::Malformed(format!(
+                "not a verification checkpoint (kind `{kind}`)"
+            )));
+        }
         let mode_text = field("mode")?
             .as_str()
             .ok_or(CheckpointError::Malformed("field `mode` is not a string".into()))?;
@@ -795,13 +803,18 @@ impl Checkpoint {
         let marks = marks_from_hex(marks_hex, arena).ok_or(
             CheckpointError::Malformed("field `marks` has the wrong length or padding".into()),
         )?;
+        let obs::json::Json::Bool(terminal_done) = *field("terminal_done")? else {
+            return Err(CheckpointError::Malformed(
+                "field `terminal_done` is not a boolean".into(),
+            ));
+        };
         Ok(Checkpoint {
             mode,
             formula_hash: hash("formula_hash")?,
             formula_clauses,
             proof_hash: hash("proof_hash")?,
             proof_clauses,
-            terminal_done: matches!(field("terminal_done")?, obs::json::Json::Bool(true)),
+            terminal_done,
             next_pos: usize::try_from(uint("next_pos")?)
                 .map_err(|_| CheckpointError::Malformed("next_pos overflows".into()))?,
             num_checked: usize::try_from(uint("num_checked")?)
@@ -845,7 +858,9 @@ impl Checkpoint {
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::Mismatch`] naming the disagreeing field.
+    /// [`CheckpointError::Mismatch`] naming the disagreeing field, or
+    /// [`CheckpointError::Malformed`] when the marks bitmap does not
+    /// cover the formula and proof clauses.
     pub fn validate(
         &self,
         formula: &CnfFormula,
@@ -862,6 +877,13 @@ impl Checkpoint {
         }
         if self.proof_hash != proof_fingerprint(proof) {
             return Err(CheckpointError::Mismatch("proof fingerprint"));
+        }
+        // the fields are public, so `marks` may have any length, and the
+        // resumed run copies it over one mark per clause
+        if self.marks.len() != formula.num_clauses() + proof.len() {
+            return Err(CheckpointError::Malformed(
+                "field `marks` does not cover the formula and proof clauses".into(),
+            ));
         }
         if self.next_pos > self.proof_clauses {
             return Err(CheckpointError::Mismatch("resume position"));
@@ -962,7 +984,8 @@ pub fn verify_harnessed_with_engine(
 /// # Errors
 ///
 /// [`CheckpointError::Mismatch`] when the checkpoint does not belong to
-/// `formula`/`proof`.
+/// `formula`/`proof`, [`CheckpointError::Malformed`] when its marks
+/// bitmap does not fit them.
 pub fn resume_verification(
     formula: &CnfFormula,
     proof: &ConflictClauseProof,
@@ -1066,22 +1089,37 @@ mod tests {
             spent_clause_visits: 0,
             marks: vec![false, false],
         };
-        let mut doc = ckpt.to_json();
-        if let obs::json::Json::Object(pairs) = &mut doc {
-            for (k, v) in pairs.iter_mut() {
-                if k == "schema_version" {
-                    *v = obs::json::Json::Int(99);
+        let with = |key: &str, value: obs::json::Json| {
+            let mut doc = ckpt.to_json();
+            if let obs::json::Json::Object(pairs) = &mut doc {
+                for (k, v) in pairs.iter_mut() {
+                    if k == key {
+                        *v = value.clone();
+                    }
                 }
             }
-        }
+            doc
+        };
         assert_eq!(
-            Checkpoint::from_json(&doc),
+            Checkpoint::from_json(&with("schema_version", obs::json::Json::Int(99))),
             Err(CheckpointError::UnsupportedVersion(99))
         );
         assert!(matches!(
             Checkpoint::from_json(&obs::json::Json::object()),
             Err(CheckpointError::Malformed(_))
         ));
+        // a foreign kind, such as a streaming checkpoint, and a
+        // `terminal_done` that is not a boolean
+        for (key, value) in [
+            ("kind", obs::json::Json::from("proofver-stream-checkpoint")),
+            ("terminal_done", obs::json::Json::Int(1)),
+        ] {
+            let err = Checkpoint::from_json(&with(key, value)).expect_err(key);
+            assert!(
+                matches!(&err, CheckpointError::Malformed(what) if what.contains(key)),
+                "{key}: {err}"
+            );
+        }
     }
 
     #[test]
