@@ -25,7 +25,6 @@
 //! drat-trim are specified in `docs/FORMATS.md`.
 
 use std::collections::hash_map::RandomState;
-use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::hash::BuildHasher;
@@ -893,7 +892,7 @@ pub(crate) struct Walked {
 /// against the clauses live at its point.
 pub(crate) struct BackwardWalk<'a, P: Propagator, W> {
     proof: &'a W,
-    kernel: Kernel<P, BTreeMap<ClauseRef, Lit>>,
+    kernel: Kernel<P>,
     /// arena ref of each addition step (in proof order)
     add_refs: Vec<ClauseRef>,
     /// resolved target of each deletion step (in proof order)
@@ -913,7 +912,7 @@ impl<'a, P: Propagator, W: WalkProof> BackwardWalk<'a, P, W> {
             .filter_map(|pos| proof.added(pos).and_then(Clause::max_var))
             .max();
         let num_vars = formula.num_vars().max(max_var.map_or(0, |v| v.idx() + 1));
-        let mut kernel: Kernel<P, _> = Kernel::new(num_vars, BTreeMap::new());
+        let mut kernel: Kernel<P> = Kernel::new(num_vars);
         for clause in formula.iter() {
             kernel.db.add_clause(clause.lits(), false);
         }

@@ -1,13 +1,13 @@
-//! The backward-checking kernel every clausal walk shares.
+//! The checking kernel every clausal walk shares.
 //!
 //! drat-trim (Heule; PAPERS.md) checks RUP, DRUP and DRAT proofs with one
-//! backward pass that marks the clauses each conflict depends on and
-//! checks only the marked additions. The walks of this crate hold a
-//! proof differently — in memory with content-addressed deletions
-//! ([`crate::verify_drat_backward`]), with deletions by reference
-//! ([`crate::AnnotatedProof::verify`]), in windows
-//! ([`crate::verify_drat_stream`]) — but check an addition the same way,
-//! with the three steps here:
+//! core that marks the clauses each conflict depends on. The walks of
+//! this crate hold a proof differently — backward in memory with
+//! content-addressed deletions ([`crate::verify_drat_backward`]),
+//! backward with deletions by reference ([`crate::AnnotatedProof::verify`]),
+//! backward in windows ([`crate::verify_drat_stream`]), forward
+//! ([`crate::verify_drat`]) — but check an addition the same way, with
+//! the three steps here:
 //!
 //! * [`Kernel::check`] — propagation under assumptions over the live
 //!   clauses: assume the literals, enqueue the live unit clauses, and
@@ -19,13 +19,19 @@
 //! * [`Kernel::implied`]'s RAT fallback — the candidate loop on the
 //!   clause's first literal.
 //!
+//! A clause joins the live set through [`Kernel::attach`], which the
+//! forward and streamed walks call for every clause; the in-memory
+//! backward walk attaches its final live set in one pass and builds its
+//! occurrence lists only when a RAT check first needs them.
+//!
 //! The native [`crate::Checker`] keeps `F`'s units at a root level of
 //! its own, so it runs its own check and calls only the cone.
 
 use std::collections::BTreeMap;
 
 use bcp::{
-    BudgetedPropagation, ClauseRef, ClauseStore, Conflict, Fuel, Propagator, Reason, Stopped,
+    Attach, BudgetedPropagation, ClauseRef, ClauseStore, Conflict, Fuel, Propagator, Reason,
+    Stopped,
 };
 use cnf::{LBool, Lit, Var};
 
@@ -53,28 +59,6 @@ pub(crate) enum Implied {
 /// A clause's LRAT id: dense insertion order, from 1.
 pub(crate) fn lrat_id(r: ClauseRef) -> u64 {
     r.index() as u64 + 1
-}
-
-/// A walk's unit clauses, which every check enqueues in ascending ref
-/// order.
-pub(crate) trait Units<S> {
-    /// The live units as `(clause, literal)`.
-    fn live<'a>(&'a self, db: &'a S) -> impl Iterator<Item = (ClauseRef, Lit)> + 'a;
-}
-
-/// A set its walk keeps live: a unit leaves it when its clause dies.
-impl<S> Units<S> for BTreeMap<ClauseRef, Lit> {
-    fn live<'a>(&'a self, _db: &'a S) -> impl Iterator<Item = (ClauseRef, Lit)> + 'a {
-        self.iter().map(|(&r, &l)| (r, l))
-    }
-}
-
-/// Every unit clause the store has held, in ref order; the dead ones
-/// are skipped.
-impl<S: ClauseStore> Units<S> for Vec<(ClauseRef, Lit)> {
-    fn live<'a>(&'a self, db: &'a S) -> impl Iterator<Item = (ClauseRef, Lit)> + 'a {
-        self.iter().copied().filter(|&(r, _)| !db.is_deleted(r))
-    }
 }
 
 /// Scratch for marking conflict cones: the variables the current pass
@@ -160,21 +144,24 @@ impl Cone {
     }
 }
 
-/// The clause store, engine and marks of a backward walk, and the checks
+/// The clause store, engine and marks of a clausal walk, and the checks
 /// it runs against them.
-pub(crate) struct Kernel<P: Propagator, U> {
+pub(crate) struct Kernel<P: Propagator> {
     pub(crate) db: P::Store,
     pub(crate) prop: P,
-    /// The unit clauses every check enqueues.
-    pub(crate) units: U,
+    /// The live unit clauses, which every check enqueues in ascending ref
+    /// order: a walk inserts a unit when its clause becomes live and
+    /// removes it when the clause dies.
+    pub(crate) units: BTreeMap<ClauseRef, Lit>,
     /// The empty clauses; a live one conflicts before any propagation.
     pub(crate) empties: Vec<ClauseRef>,
     /// Marked clauses, by ref.
     pub(crate) marked: Vec<bool>,
     /// For each literal, the clauses that contain it in ascending ref
     /// order (a literal a clause repeats lists it again; dead clauses
-    /// are skipped at use). A walk that leaves it empty gets it built
-    /// from the store by its first RAT check.
+    /// are skipped at use). [`Kernel::attach`] keeps the lists of a
+    /// kernel made by [`Kernel::with_occurrences`]; otherwise they stay
+    /// empty until the first RAT check builds them from the store.
     pub(crate) occ: Vec<Vec<ClauseRef>>,
     cone: Cone,
     // scratch reused across checks
@@ -182,19 +169,43 @@ pub(crate) struct Kernel<P: Propagator, U> {
     candidates: Vec<ClauseRef>,
 }
 
-impl<P: Propagator, U: Units<P::Store>> Kernel<P, U> {
+impl<P: Propagator> Kernel<P> {
     /// An empty store and engine over `num_vars` variables.
-    pub(crate) fn new(num_vars: usize, units: U) -> Self {
+    pub(crate) fn new(num_vars: usize) -> Self {
         Kernel {
             db: P::Store::new(),
             prop: P::new(num_vars),
-            units,
+            units: BTreeMap::new(),
             empties: Vec::new(),
             marked: Vec::new(),
             occ: Vec::new(),
             cone: Cone::new(num_vars),
             assumed: Vec::new(),
             candidates: Vec::new(),
+        }
+    }
+
+    /// An empty kernel whose occurrence lists [`Kernel::attach`] keeps.
+    pub(crate) fn with_occurrences(num_vars: usize) -> Self {
+        Kernel {
+            occ: vec![Vec::new(); 2 * num_vars],
+            ..Kernel::new(num_vars)
+        }
+    }
+
+    /// Makes the stored clause `r` live: watches it, or records it as a
+    /// unit or an empty clause, and lists its occurrences. The kernel
+    /// must come from [`Kernel::with_occurrences`].
+    pub(crate) fn attach(&mut self, r: ClauseRef) {
+        match self.prop.attach_clause(&mut self.db, r) {
+            Attach::Watched => {}
+            Attach::Unit(l) => {
+                self.units.insert(r, l);
+            }
+            Attach::Empty => self.empties.push(r),
+        }
+        for &l in self.db.lits(r) {
+            self.occ[l.idx()].push(r);
         }
     }
 
@@ -218,7 +229,7 @@ impl<P: Propagator, U: Units<P::Store>> Kernel<P, U> {
                 }
             }
         }
-        for (r, l) in self.units.live(&self.db) {
+        for (&r, &l) in &self.units {
             if let Err(conflict) = self.prop.enqueue_propagated(l, r) {
                 return Check::Conflict(conflict);
             }

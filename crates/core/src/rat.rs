@@ -9,13 +9,16 @@
 //! clause addition — and is exactly the extension the DRAT format added
 //! on top of this paper's RUP checking.
 //!
-//! Checking is *forward* (RAT is order-sensitive): clauses are appended
-//! to the active set as they are accepted.
+//! Checking is *forward* (RAT is order-sensitive): one loop over the
+//! shared [`crate::kernel::Kernel`] checks each clause with
+//! [`crate::kernel::Kernel::implied`] against the clauses before it,
+//! then attaches it to the active set.
 
-use bcp::{ClauseDb, ClauseRef, Conflict, Reason, WatchedPropagator};
-use cnf::{Clause, CnfFormula, LBool, Lit};
+use bcp::{Fuel, WatchedPropagator};
+use cnf::{Clause, CnfFormula};
 
 use crate::error::VerifyError;
+use crate::kernel::{Check, Implied, Kernel};
 use crate::proof::ConflictClauseProof;
 
 /// Statistics of a successful DRAT check.
@@ -64,12 +67,11 @@ pub fn verify_drat(
     formula: &CnfFormula,
     proof: &ConflictClauseProof,
 ) -> Result<DratStats, VerifyError> {
-    let mut checker = DratChecker::new(formula, proof);
-    let stats = checker.check_steps(proof)?;
-    if !checker.refuted && !checker.rup_holds(&[]) {
-        return Err(VerifyError::NotARefutation);
+    let (mut kernel, stats) = check_forward(formula, proof)?;
+    match kernel.check(&[], &mut Fuel::unlimited()) {
+        Check::Conflict(_) => Ok(stats),
+        _ => Err(VerifyError::NotARefutation),
     }
-    Ok(stats)
 }
 
 /// Checks the steps of `proof` (RUP-or-RAT, forward) without requiring
@@ -83,190 +85,46 @@ pub fn check_drat_steps(
     formula: &CnfFormula,
     proof: &ConflictClauseProof,
 ) -> Result<DratStats, VerifyError> {
-    DratChecker::new(formula, proof).check_steps(proof)
+    check_forward(formula, proof).map(|(_, stats)| stats)
 }
 
-struct DratChecker {
-    db: ClauseDb,
-    prop: WatchedPropagator,
-    /// unit clauses to enqueue per check
-    units: Vec<(ClauseRef, Lit)>,
-    /// occurrence lists over *all* literals of active clauses (needed to
-    /// enumerate the ¬pivot clauses of a RAT check)
-    occ: Vec<Vec<ClauseRef>>,
-    /// the active set already contains a root contradiction
-    refuted: bool,
+/// Checks every step of `proof`, RUP first and then RAT on its first
+/// literal, against `formula` and the steps before it, attaching each
+/// accepted clause to the kernel it returns.
+fn check_forward(
+    formula: &CnfFormula,
+    proof: &ConflictClauseProof,
+) -> Result<(Kernel<WatchedPropagator>, DratStats), VerifyError> {
+    let num_vars = formula
+        .num_vars()
+        .max(proof.max_var().map_or(0, |v| v.idx() + 1));
+    let mut kernel = Kernel::with_occurrences(num_vars);
+    for clause in formula.iter() {
+        join(&mut kernel, clause, false);
+    }
+    let mut fuel = Fuel::unlimited();
+    let mut stats = DratStats::default();
+    for (step, clause) in proof.iter().enumerate() {
+        match kernel.implied(clause.lits(), true, None, &mut fuel, &mut stats) {
+            Implied::Yes => join(&mut kernel, clause, true),
+            Implied::No => {
+                return Err(VerifyError::NotImplied {
+                    step,
+                    clause: clause.clone(),
+                })
+            }
+            Implied::Interrupted(_) => unreachable!("unlimited fuel never runs out"),
+        }
+    }
+    Ok((kernel, stats))
 }
 
-enum Sub {
-    Conflict,
-    Vacuous,
-    NoConflict,
-}
-
-impl DratChecker {
-    fn new(formula: &CnfFormula, proof: &ConflictClauseProof) -> Self {
-        let num_vars = formula
-            .num_vars()
-            .max(proof.max_var().map_or(0, |v| v.idx() + 1));
-        let mut db = ClauseDb::new();
-        let mut prop = WatchedPropagator::new(num_vars);
-        let mut occ = vec![Vec::new(); 2 * num_vars];
-        let mut units = Vec::new();
-        let mut refuted = false;
-        for clause in formula.iter() {
-            let r = db.add_clause(clause.lits(), false);
-            for &l in clause.lits() {
-                occ[l.idx()].push(r);
-            }
-            match db.clause_len(r) {
-                0 => refuted = true,
-                1 => units.push((r, db.lits(r)[0])),
-                _ => {
-                    prop.attach_clause(&mut db, r);
-                }
-            }
-        }
-        DratChecker { db, prop, units, occ, refuted }
-    }
-
-    fn check_steps(&mut self, proof: &ConflictClauseProof) -> Result<DratStats, VerifyError> {
-        let mut stats = DratStats::default();
-        for (step, clause) in proof.iter().enumerate() {
-            if self.refuted {
-                // anything is derivable from a contradiction
-                stats.num_rup += 1;
-                self.append(clause);
-                continue;
-            }
-            if clause.is_empty() {
-                if self.rup_holds(&[]) {
-                    self.refuted = true;
-                    stats.num_rup += 1;
-                    continue;
-                }
-                return Err(VerifyError::NotImplied { step, clause: clause.clone() });
-            }
-            let negated: Vec<Lit> = clause.lits().iter().map(|&l| !l).collect();
-            if self.rup_holds(&negated) {
-                stats.num_rup += 1;
-            } else if self.rat_holds(clause, &mut stats) {
-                stats.num_rat += 1;
-            } else {
-                return Err(VerifyError::NotImplied { step, clause: clause.clone() });
-            }
-            self.append(clause);
-        }
-        Ok(stats)
-    }
-
-    /// RUP: do the assumptions propagate to a conflict?
-    fn rup_holds(&mut self, assumptions: &[Lit]) -> bool {
-        !matches!(self.sub_check(assumptions), Sub::NoConflict)
-    }
-
-    /// RAT on the clause's first literal.
-    fn rat_holds(&mut self, clause: &Clause, stats: &mut DratStats) -> bool {
-        let pivot = clause[0];
-        // the resolvent is (C \ {pivot}) ∪ (D \ {¬pivot}) — the pivot
-        // itself is resolved away
-        let negated_rest: Vec<Lit> = clause
-            .lits()
-            .iter()
-            .filter(|&&l| l != pivot)
-            .map(|&l| !l)
-            .collect();
-        // collect first: sub-checks mutate watch lists
-        let candidates: Vec<ClauseRef> = self.occ[(!pivot).idx()]
-            .iter()
-            .copied()
-            .filter(|&r| !self.db.is_deleted(r))
-            .collect();
-        for d in candidates {
-            stats.num_resolvent_checks += 1;
-            let mut assumptions: Vec<Lit> = negated_rest.clone();
-            for &l in self.db.lits(d) {
-                if l != !pivot {
-                    assumptions.push(!l);
-                }
-            }
-            match self.sub_check(&assumptions) {
-                Sub::Conflict | Sub::Vacuous => {}
-                Sub::NoConflict => return false,
-            }
-        }
-        true
-    }
-
-    /// One propagation check over the current active set.
-    fn sub_check(&mut self, assumptions: &[Lit]) -> Sub {
-        self.prop.backtrack_to(0);
-        self.prop.push_level();
-        for &l in assumptions {
-            if self.prop.value(l) == LBool::False {
-                // clashing with an earlier assumption → the resolvent is
-                // tautologous (vacuously fine); clashing with a root
-                // propagation → a genuine conflict
-                return match self.prop.reason(l.var()) {
-                    Reason::Propagated(_) => Sub::Conflict,
-                    _ => Sub::Vacuous,
-                };
-            }
-            if self.prop.value(l) == LBool::Unassigned && !self.prop.assume(l) {
-                unreachable!("checked unassigned");
-            }
-        }
-        for i in 0..self.units.len() {
-            let (r, l) = self.units[i];
-            if self.db.is_deleted(r) {
-                continue;
-            }
-            if self.prop.enqueue_propagated(l, r).is_err() {
-                return Sub::Conflict;
-            }
-        }
-        match self.prop.propagate(&mut self.db) {
-            Some(Conflict { .. }) => Sub::Conflict,
-            None => Sub::NoConflict,
-        }
-    }
-
-    /// Appends an accepted clause to the active set.
-    fn append(&mut self, clause: &Clause) {
-        self.prop.backtrack_to(0);
-        // order literals so the watched pair is non-false at the root
-        let mut lits: Vec<Lit> = clause.lits().to_vec();
-        lits.sort_by_key(|&l| self.prop.value(l) == LBool::False);
-        let non_false =
-            lits.iter().filter(|&&l| self.prop.value(l) != LBool::False).count();
-        let r = self.db.add_clause(&lits, true);
-        for &l in &lits {
-            self.occ[l.idx()].push(r);
-        }
-        match (lits.len(), non_false) {
-            (0, _) | (_, 0) => self.refuted = true,
-            (1, _) => {
-                self.units.push((r, lits[0]));
-                // keep the root trail saturated so later sub-checks see it
-                if self.prop.enqueue_propagated(lits[0], r).is_err()
-                    || self.prop.propagate(&mut self.db).is_some()
-                {
-                    self.refuted = true;
-                }
-            }
-            (_, 1) => {
-                self.prop.attach_clause(&mut self.db, r);
-                if self.prop.enqueue_propagated(lits[0], r).is_err()
-                    || self.prop.propagate(&mut self.db).is_some()
-                {
-                    self.refuted = true;
-                }
-            }
-            _ => {
-                self.prop.attach_clause(&mut self.db, r);
-            }
-        }
-    }
+/// Stores `clause` and makes it live, with the mark slot that the cones
+/// of [`Kernel::implied`] write.
+fn join(kernel: &mut Kernel<WatchedPropagator>, clause: &Clause, learned: bool) {
+    let r = kernel.db.add_clause(clause.lits(), learned);
+    kernel.marked.push(false);
+    kernel.attach(r);
 }
 
 #[cfg(test)]

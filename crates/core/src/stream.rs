@@ -26,11 +26,11 @@
 //! never become a `Rejected` verdict.
 //!
 //! Residency is tracked by an explicit model (arena words, occurrence
-//! entries, per-variable engine state, live-set stacks, unit list,
-//! granule index, plus a per-window factor covering the raw bytes,
-//! parsed steps, and stand-ins); the recorded `peak_residency` is the
-//! model's high-water mark. The window index format and checkpoint
-//! compatibility rules are documented in `docs/FORMATS.md`.
+//! entries, per-variable engine state, live-set stacks, live unit
+//! clauses, granule index, plus a per-window factor covering the raw
+//! bytes, parsed steps, and stand-ins); the recorded `peak_residency`
+//! is the model's high-water mark. The window index format and
+//! checkpoint compatibility rules are documented in `docs/FORMATS.md`.
 
 use std::collections::HashMap;
 use std::io::{Read, Seek, SeekFrom};
@@ -38,7 +38,7 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use bcp::{
-    ArenaWatchedPropagator, Attach, ClauseRef, ClauseStore, Fuel, Propagator,
+    ArenaWatchedPropagator, ClauseRef, ClauseStore, Fuel, Propagator,
     PropagatorChoice, Stopped, WatchedPropagator,
 };
 use cnf::{Clause, CnfFormula, Lit};
@@ -76,7 +76,7 @@ const RESIDENCY_GRANULE: u64 = 24;
 /// level, watch heads for both polarities, occurrence-list headers).
 const RESIDENCY_PER_VAR: u64 = 64;
 
-/// Modeled bytes per recorded unit clause.
+/// Modeled bytes per live unit clause.
 const RESIDENCY_UNIT: u64 = 16;
 
 /// Modeled bytes per occurrence-list entry.
@@ -975,20 +975,18 @@ struct WalkState {
 }
 
 /// The resident state of the windowed checker: the kernel's store,
-/// engine and marks, and the content-addressed stacks pairing
-/// backward-walk crossings with the forward lifecycle that pass 1
-/// replayed.
+/// engine, live units and marks, and the content-addressed stacks
+/// pairing backward-walk crossings with the forward lifecycle that pass
+/// 1 replayed.
 ///
-/// Unlike the in-memory walk, which keeps a set of the live units, the
-/// kernel here scans every unit clause the store has held and skips the
-/// deleted ones. The list is part of the modeled residency (`units.len()`
-/// entries of `RESIDENCY_UNIT` bytes, dropped by a store rebuild), so
-/// replacing it would change the degradation ladder's decisions; a
-/// window's rebuild keeps it short on long proofs. The occurrence lists
-/// are likewise kept up to date as clauses arrive, since the model
-/// counts their entries.
+/// As in the in-memory walk, the kernel keeps the set of live unit
+/// clauses: a unit joins it when its clause is attached and leaves it
+/// when an addition crossing retires the clause. The residency model
+/// charges `RESIDENCY_UNIT` bytes per live unit. The occurrence lists
+/// are kept up to date as clauses arrive, since the model counts their
+/// entries; a store rebuild drops the dead ones.
 struct StreamChecker<P: Propagator> {
-    kernel: Kernel<P, Vec<(ClauseRef, Lit)>>,
+    kernel: Kernel<P>,
     occ_entries: u64,
     /// content key → stack of `(global seq, ref)`, most recent last.
     /// Stand-ins resurrected by the walk use `seq = u64::MAX`.
@@ -1032,7 +1030,7 @@ impl<P: Propagator> StreamChecker<P> {
         proof_entries.sort_by_key(|(_, e)| e.seq);
 
         let mut checker = StreamChecker::<P> {
-            kernel: Kernel::new(num_vars, Vec::new()),
+            kernel: Kernel::with_occurrences(num_vars),
             occ_entries: 0,
             refs: HashMap::new(),
             live_count: 0,
@@ -1041,7 +1039,6 @@ impl<P: Propagator> StreamChecker<P> {
             num_vars,
             trailing_empty: None,
         };
-        checker.kernel.occ = vec![Vec::new(); 2 * num_vars];
         for (i, clause) in formula.iter().enumerate() {
             let r = checker.kernel.db.add_clause(clause.lits(), false);
             debug_assert_eq!(r.index(), i);
@@ -1079,18 +1076,10 @@ impl<P: Propagator> StreamChecker<P> {
         self.live_words += self.kernel.db.clause_len(r) as u64;
     }
 
-    /// Attaches the stored clause `r` and lists its occurrences.
+    /// Attaches the stored clause `r` and counts its occurrence entries.
     fn attach(&mut self, r: ClauseRef) {
-        let kernel = &mut self.kernel;
-        match kernel.prop.attach_clause(&mut kernel.db, r) {
-            Attach::Watched => {}
-            Attach::Unit(l) => kernel.units.push((r, l)),
-            Attach::Empty => kernel.empties.push(r),
-        }
-        for &l in kernel.db.lits(r) {
-            kernel.occ[l.idx()].push(r);
-        }
-        self.occ_entries += kernel.db.clause_len(r) as u64;
+        self.kernel.attach(r);
+        self.occ_entries += self.kernel.db.clause_len(r) as u64;
     }
 
     /// The modeled residency of everything that persists across windows.
@@ -1170,6 +1159,7 @@ impl<P: Propagator> StreamChecker<P> {
                     if !kernel.db.is_deleted(r) {
                         kernel.prop.detach_clause(&kernel.db, r);
                         kernel.db.delete_clause(r);
+                        kernel.units.remove(&r);
                     }
                     if Some(r) == self.trailing_empty {
                         // the claim being established; the terminal
@@ -1204,13 +1194,12 @@ impl<P: Propagator> StreamChecker<P> {
     }
 
     /// Rebuilds the clause store from the live set, dropping the arena
-    /// garbage, stale unit entries, and stale occurrence entries that
-    /// accumulate as the walk retires clauses. Formula clauses keep
-    /// their dense refs; surviving stand-ins are re-added in ref order
-    /// and every stack is remapped.
+    /// garbage and the stale occurrence entries that accumulate as the
+    /// walk retires clauses. Formula clauses keep their dense refs;
+    /// surviving stand-ins are re-added in ref order and every stack is
+    /// remapped.
     fn rebuild(&mut self) {
-        let old = std::mem::replace(&mut self.kernel, Kernel::new(self.num_vars, Vec::new()));
-        self.kernel.occ = vec![Vec::new(); 2 * self.num_vars];
+        let old = std::mem::replace(&mut self.kernel, Kernel::with_occurrences(self.num_vars));
         self.occ_entries = 0;
 
         for i in 0..self.num_original {

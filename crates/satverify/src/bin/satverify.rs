@@ -143,7 +143,9 @@ USAGE:
         or draining).
 
     satverify drat <cnf> <proof>
-        verify a proof that may contain RAT steps (DRAT semantics)
+        verify a proof that may contain RAT steps (DRAT semantics);
+        exit codes: 0 verified, 1 proof rejected, 2 usage error,
+        3 malformed input
 
     satverify core <cnf> [--minimize|--mus] [--out <file>]
         solve, verify, and print/write the unsatisfiable core;
@@ -151,7 +153,9 @@ USAGE:
         minimal unsatisfiable subset via incremental assumptions
 
     satverify trim <cnf> <proof-in> <proof-out> [--binary]
-        verify a proof and write back only the contributing clauses
+        verify a proof and write back only the contributing clauses;
+        exit codes: 0 trimmed, 1 proof rejected, 2 usage error,
+        3 malformed input
 
     satverify aig <aag-file> [--output <i>]
         parse an AIGER ASCII circuit, assert output <i> (default 0) true,
@@ -220,6 +224,20 @@ fn load_proof(path: &str) -> Result<ConflictClauseProof, String> {
     } else {
         parse_proof(BufReader::new(file)).map_err(|e| format!("{path}: {e}"))
     }
+}
+
+/// Loads a DIMACS formula and a native proof. An unreadable or
+/// malformed file is reported on stderr and gets the malformed-input
+/// exit code.
+fn load_inputs(
+    cnf_path: &str,
+    proof_path: &str,
+) -> Result<(CnfFormula, ConflictClauseProof), ExitCode> {
+    let inputs = load_formula(cnf_path).and_then(|f| Ok((f, load_proof(proof_path)?)));
+    inputs.map_err(|msg| {
+        eprintln!("error: {msg}");
+        ExitCode::from(EXIT_MALFORMED)
+    })
 }
 
 fn parse_scheme(text: &str) -> Result<LearningScheme, String> {
@@ -658,17 +676,13 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
     if drat {
         return check_drat(cnf_path, proof_path, budget, engine, &emit, &obs_opts);
     }
+    let (formula, proof) = match load_inputs(cnf_path, proof_path) {
+        Ok(inputs) => inputs,
+        Err(code) => return Ok(code),
+    };
     let malformed = |msg: String| {
         eprintln!("error: {msg}");
         Ok(ExitCode::from(EXIT_MALFORMED))
-    };
-    let formula = match load_formula(cnf_path) {
-        Ok(f) => f,
-        Err(msg) => return malformed(msg),
-    };
-    let proof = match load_proof(proof_path) {
-        Ok(p) => p,
-        Err(msg) => return malformed(msg),
     };
     let mut report = RunReport::new("check");
     report.instance_path = Some(cnf_path.clone());
@@ -1579,10 +1593,13 @@ fn report_remote_check(response: &WireResponse) -> Result<ExitCode, String> {
 
 fn cmd_drat(args: &[String]) -> Result<ExitCode, String> {
     let [cnf_path, proof_path] = args else {
-        return Err("usage: satverify drat <cnf> <proof>".into());
+        eprintln!("usage: satverify drat <cnf> <proof>");
+        return Ok(ExitCode::from(EXIT_USAGE));
     };
-    let formula = load_formula(cnf_path)?;
-    let proof = load_proof(proof_path)?;
+    let (formula, proof) = match load_inputs(cnf_path, proof_path) {
+        Ok(inputs) => inputs,
+        Err(code) => return Ok(code),
+    };
     match proofver::verify_drat(&formula, &proof) {
         Ok(stats) => {
             println!("s VERIFIED");
@@ -1590,12 +1607,12 @@ fn cmd_drat(args: &[String]) -> Result<ExitCode, String> {
                 "c {} RUP steps, {} RAT steps ({} resolvent checks)",
                 stats.num_rup, stats.num_rat, stats.num_resolvent_checks
             );
-            Ok(ExitCode::SUCCESS)
+            Ok(ExitCode::from(EXIT_VERIFIED))
         }
         Err(e) => {
             println!("s NOT VERIFIED");
             println!("c {e}");
-            Ok(ExitCode::from(1))
+            Ok(ExitCode::from(EXIT_REJECTED))
         }
     }
 }
@@ -1654,10 +1671,13 @@ fn cmd_trim(args: &[String]) -> Result<ExitCode, String> {
     let mut args = args.to_vec();
     let binary = take_flag(&mut args, "--binary");
     let [cnf_path, proof_in, proof_out] = args.as_slice() else {
-        return Err("usage: satverify trim <cnf> <proof-in> <proof-out> [--binary]".into());
+        eprintln!("usage: satverify trim <cnf> <proof-in> <proof-out> [--binary]");
+        return Ok(ExitCode::from(EXIT_USAGE));
     };
-    let formula = load_formula(cnf_path)?;
-    let proof = load_proof(proof_in)?;
+    let (formula, proof) = match load_inputs(cnf_path, proof_in) {
+        Ok(inputs) => inputs,
+        Err(code) => return Ok(code),
+    };
     let (v, trimmed) =
         proofver::verify_and_trim(&formula, &proof).map_err(|e| e.to_string())?;
     println!(

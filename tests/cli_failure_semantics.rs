@@ -256,3 +256,43 @@ fn check_help_documents_the_exit_code_contract() {
         assert!(text.contains(needle), "missing {needle:?} in: {text}");
     }
 }
+
+#[test]
+fn drat_and_trim_use_the_check_exit_codes() {
+    let cnf = write_tmp("dt.cnf", XOR_SQUARE);
+    let good = write_tmp("dt-good.ccp", "2 0\n-2 0\n0\n");
+    let unproved = write_tmp("dt-unproved.ccp", "1 2 0\n0\n");
+    let bad_cnf = write_tmp("dt-bad.cnf", "p cnf 2 1\n1 frobnicate 0\n");
+    let bad_proof = write_tmp("dt-bad.ccp", "2 frobnicate 0\n");
+    let missing = tmp("dt-missing.ccp");
+    let trimmed = tmp("dt-trimmed.ccp");
+    let [cnf, good, unproved, bad_cnf, bad_proof, missing, trimmed] =
+        [&cnf, &good, &unproved, &bad_cnf, &bad_proof, &missing, &trimmed]
+            .map(|p| p.to_str().expect("utf8"));
+
+    let cases: [(&[&str], i32); 12] = [
+        (&["drat", cnf, good], 0),
+        (&["drat", cnf, unproved], 1),
+        (&["drat", cnf], 2),
+        (&["drat", cnf, missing], 3),
+        (&["drat", bad_cnf, good], 3),
+        (&["drat", cnf, bad_proof], 3),
+        (&["trim", cnf, good, trimmed], 0),
+        (&["trim", cnf, unproved, trimmed], 1),
+        (&["trim", cnf, good], 2),
+        (&["trim", cnf, missing, trimmed], 3),
+        (&["trim", bad_cnf, good, trimmed], 3),
+        (&["trim", cnf, bad_proof, trimmed], 3),
+    ];
+    for (args, code) in cases {
+        let out = run(args);
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {out:?}");
+    }
+    let usage = String::from_utf8_lossy(&run(&["help"]).stdout).into_owned();
+    for command in ["satverify drat", "satverify trim"] {
+        let entry = &usage[usage.find(command).expect("documented")..];
+        let entry = &entry[..entry.find("\n\n").unwrap_or(entry.len())];
+        assert!(entry.contains("exit codes"), "{entry}");
+        assert!(entry.contains("3 malformed input"), "{entry}");
+    }
+}
