@@ -19,7 +19,7 @@
 //!   [`ArenaWatchedPropagator::compact`].
 //! * **Blocking-literal invariant** — a watch entry whose blocker is
 //!   true may be *kept without inspecting the clause*, even if the
-//!   clause was deleted or deactivated meanwhile. This is sound because
+//!   clause was deleted meanwhile. This is sound because
 //!   a satisfied clause never propagates, but it means a deletion that
 //!   can later be *undone* must be preceded by an eager
 //!   [`detach`](ArenaWatchedPropagator::detach_clause) — otherwise the
@@ -71,7 +71,7 @@ fn header_word(len: usize, learned: bool, garbage: bool) -> Lit {
 /// let mut arena = ClauseArena::new();
 /// let c = arena.add_clause(&[Lit::from_dimacs(1), Lit::from_dimacs(-2)], false);
 /// assert_eq!(arena.lits(c).len(), 2);
-/// assert!(arena.is_active(c));
+/// assert!(!arena.is_deleted(c));
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct ClauseArena {
@@ -81,11 +81,6 @@ pub struct ClauseArena {
     /// Dense clause index → offset of the clause's *header* word;
     /// [`GONE`] for clauses whose body was compacted away.
     starts: Vec<u32>,
-    active_limit: Option<usize>,
-    /// First literal offset *not* active under the current horizon —
-    /// the hot loop's one-compare activity check (offsets grow with
-    /// insertion order, so `lit_offset < active_end` ⇔ `index < limit`).
-    active_end: u32,
     num_deleted: usize,
     /// Words occupied by garbage (deleted, not yet compacted) clauses.
     garbage_words: usize,
@@ -95,7 +90,7 @@ impl ClauseArena {
     /// Creates an empty arena.
     #[must_use]
     pub fn new() -> Self {
-        ClauseArena { active_end: GONE, ..ClauseArena::default() }
+        ClauseArena::default()
     }
 
     /// Creates an arena containing all clauses of `formula`, in order,
@@ -157,25 +152,6 @@ impl ClauseArena {
         &mut self.words[lit_pos..lit_pos + len]
     }
 
-    /// The activity bound as a literal offset (hot-loop accessor).
-    #[inline]
-    pub(crate) fn active_end(&self) -> u32 {
-        self.active_end
-    }
-
-    fn recompute_active_end(&mut self) {
-        self.active_end = match self.active_limit {
-            None => GONE,
-            Some(limit) => match self.starts.get(limit) {
-                // the first inactive clause's literal offset bounds the
-                // active region (offsets are monotone in clause index)
-                Some(&start) if start != GONE => start + HEADER_WORDS as u32,
-                // horizon at or beyond the end: everything is active
-                _ => GONE,
-            },
-        };
-    }
-
     /// Number of clauses currently deleted.
     #[inline]
     #[must_use]
@@ -226,10 +202,9 @@ impl ClauseArena {
         }
         self.words = packed;
         self.garbage_words = 0;
-        self.recompute_active_end();
     }
 
-    /// A read-only view of the currently *active* clauses — the trim and
+    /// A read-only view of the live (not deleted) clauses — the trim and
     /// deletion paths iterate this instead of materialising tombstoned
     /// clause lists.
     #[must_use]
@@ -255,9 +230,6 @@ impl ClauseStore for ClauseArena {
             .push(Lit::from_code(u32::try_from(index).expect("index fits in u32")));
         self.words.extend_from_slice(lits);
         self.starts.push(start);
-        if self.active_limit.is_some() {
-            self.recompute_active_end();
-        }
         ClauseRef::from_index(index)
     }
 
@@ -323,22 +295,6 @@ impl ClauseStore for ClauseArena {
         }
     }
 
-    fn set_active_limit(&mut self, limit: Option<usize>) {
-        self.active_limit = limit;
-        self.recompute_active_end();
-    }
-
-    #[inline]
-    fn active_limit(&self) -> Option<usize> {
-        self.active_limit
-    }
-
-    #[inline]
-    fn is_active(&self, r: ClauseRef) -> bool {
-        !self.is_deleted(r)
-            && self.active_limit.is_none_or(|lim| r.index() < lim)
-    }
-
     #[inline]
     fn arena_len(&self) -> usize {
         self.words.len()
@@ -350,7 +306,7 @@ impl ClauseStore for ClauseArena {
     }
 }
 
-/// A borrowed view of an arena's active clauses.
+/// A borrowed view of an arena's live clauses.
 ///
 /// # Examples
 ///
@@ -373,32 +329,31 @@ pub struct View<'a> {
 }
 
 impl<'a> View<'a> {
-    /// Whether the clause is in the view (active: neither deleted nor
-    /// beyond the activity horizon).
+    /// Whether the clause is in the view (not deleted).
     #[must_use]
     pub fn contains(&self, r: ClauseRef) -> bool {
-        self.arena.is_active(r)
+        !self.arena.is_deleted(r)
     }
 
-    /// Number of active clauses.
+    /// Number of live clauses.
     #[must_use]
     pub fn len(&self) -> usize {
         self.iter().count()
     }
 
-    /// Returns `true` if no clause is active.
+    /// Returns `true` if no clause is live.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.iter().next().is_none()
     }
 
-    /// Iterates over `(ref, literals)` of the active clauses, in
+    /// Iterates over `(ref, literals)` of the live clauses, in
     /// insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (ClauseRef, &'a [Lit])> + '_ {
         let arena = self.arena;
         arena
             .refs()
-            .filter(move |&r| arena.is_active(r))
+            .filter(move |&r| !arena.is_deleted(r))
             .map(move |r| (r, arena.lits(r)))
     }
 }
@@ -680,7 +635,6 @@ impl ArenaWatchedPropagator {
     /// inlined two-watch maintenance loop.
     fn propagate_lit(&mut self, db: &mut ClauseArena, lit: Lit) -> Option<Conflict> {
         let false_lit = !lit;
-        let active_end = db.active_end();
         // Index-based scan: watch moves push into *other* lists, which
         // may relocate them (and grow the slab), but never touch this
         // span or the slab indices it covers.
@@ -700,11 +654,6 @@ impl ArenaWatchedPropagator {
             if self.assignment.is_true(w.blocker) {
                 self.watches.slab[start + kept] = w;
                 kept += 1;
-                continue;
-            }
-            // Activity horizon: one register compare (offsets are
-            // monotone in clause index). Above the horizon: lazy drop.
-            if w.pos >= active_end {
                 continue;
             }
             let pos = w.pos as usize;
@@ -957,15 +906,6 @@ impl Propagator for ArenaWatchedPropagator {
         self.trail_lim.truncate(level as usize);
         self.qhead = new_len;
     }
-
-    fn reset(&mut self) {
-        for &l in &self.trail {
-            self.assignment.unassign(l.var());
-        }
-        self.trail.clear();
-        self.trail_lim.clear();
-        self.qhead = 0;
-    }
 }
 
 #[cfg(test)]
@@ -1010,40 +950,20 @@ mod tests {
     }
 
     #[test]
-    fn deletion_and_horizon_match_clause_db_semantics() {
+    fn deletion_matches_clause_db_semantics() {
         let mut a = ClauseArena::new();
         let c0 = a.add_clause(&lits(&[1, 2]), false);
         let c1 = a.add_clause(&lits(&[3]), true);
-        let c2 = a.add_clause(&lits(&[4]), true);
         a.delete_clause(c0);
         assert!(a.is_deleted(c0));
-        assert!(!a.is_active(c0));
+        assert!(!a.is_deleted(c1));
         assert_eq!(a.num_deleted(), 1);
         a.delete_clause(c0); // double delete counts once
         assert_eq!(a.num_deleted(), 1);
         assert_eq!(a.lits(c0), lits(&[1, 2]).as_slice(), "body readable");
         a.undelete_clause(c0);
-        assert!(a.is_active(c0));
-        a.set_active_limit(Some(2));
-        assert!(a.is_active(c1));
-        assert!(!a.is_active(c2));
-        a.set_active_limit(None);
-        assert!(a.is_active(c2));
-    }
-
-    #[test]
-    fn active_end_tracks_additions_past_the_horizon() {
-        let mut a = ClauseArena::new();
-        a.add_clause(&lits(&[1, 2]), false);
-        a.set_active_limit(Some(1));
-        assert_eq!(a.active_end(), GONE, "horizon at end: everything active");
-        let c1 = a.add_clause(&lits(&[3, 4]), true);
-        assert!(!a.is_active(c1));
-        assert_eq!(
-            a.active_end(),
-            a.lit_offset(c1),
-            "new clause bounds the active offsets"
-        );
+        assert!(!a.is_deleted(c0));
+        assert_eq!(a.num_deleted(), 0);
     }
 
     #[test]
@@ -1053,7 +973,6 @@ mod tests {
         let c1 = a.add_clause(&lits(&[3]), false);
         let c2 = a.add_clause(&lits(&[4]), true);
         a.delete_clause(c1);
-        a.set_active_limit(Some(3));
         let view = a.view();
         assert_eq!(view.len(), 2);
         assert!(view.contains(c0) && view.contains(c2));
@@ -1103,13 +1022,12 @@ mod tests {
     #[test]
     fn deactivated_and_deleted_clauses_do_not_propagate() {
         let (mut db, mut p) = engine_for(&[vec![-1, 2], vec![-1, 3]]);
-        db.set_active_limit(Some(1));
+        p.detach_clause(&db, ClauseRef::from_index(1));
         p.decide(lit(1));
         assert!(p.propagate(&mut db).is_none());
         assert!(p.assignment().is_true(lit(2)));
         assert!(p.assignment().is_unassigned(lit(3)));
-        p.reset();
-        db.set_active_limit(None);
+        p.backtrack_to(0);
         db.delete_clause(ClauseRef::from_index(0));
         p.decide(lit(1));
         assert!(p.propagate(&mut db).is_none());

@@ -10,8 +10,7 @@ use cnf::{Clause, CnfFormula, Lit};
 /// References are dense indices in insertion order, which the proof
 /// checker exploits: the clauses of the original formula `F` come first,
 /// followed by the conflict clauses of `F*` in chronological order, so
-/// *deactivating everything from index `k` on* models popping the proof
-/// stack.
+/// a clause's index is also its position in the proof.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClauseRef(u32);
 
@@ -50,11 +49,11 @@ struct Header {
 
 /// A clause database storing literals in one flat arena.
 ///
-/// Clauses are immutable once added, can be *deleted* (a lazy flag — the
-/// solver's clause-database reduction), and can be *deactivated
-/// wholesale* by an activity horizon ([`ClauseDb::set_active_limit`]) —
-/// the checker's mechanism for popping proof clauses in reverse
-/// chronological order without touching watch lists eagerly.
+/// Clauses are immutable once added and can be *deleted*: a lazy flag
+/// that the watch lists honour as they are scanned. The solver deletes
+/// in its clause-database reduction; the proof checker deletes each
+/// proof clause its backward walk retires, and undeletes a clause the
+/// walk resurrects.
 ///
 /// # Examples
 ///
@@ -65,13 +64,12 @@ struct Header {
 /// let mut db = ClauseDb::new();
 /// let c = db.add_clause(&[Lit::from_dimacs(1), Lit::from_dimacs(-2)], false);
 /// assert_eq!(db.lits(c).len(), 2);
-/// assert!(db.is_active(c));
+/// assert!(!db.is_deleted(c));
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct ClauseDb {
     lits: Vec<Lit>,
     headers: Vec<Header>,
-    active_limit: Option<usize>,
     num_deleted: usize,
 }
 
@@ -197,38 +195,9 @@ impl ClauseDb {
         }
     }
 
-    /// Restricts the active set to clauses with index `< limit`.
-    ///
-    /// `None` means every non-deleted clause is active. The checker
-    /// lowers the limit monotonically as it pops proof clauses.
-    pub fn set_active_limit(&mut self, limit: Option<usize>) {
-        self.active_limit = limit;
-    }
-
-    /// The current activity horizon.
-    #[inline]
-    #[must_use]
-    pub fn active_limit(&self) -> Option<usize> {
-        self.active_limit
-    }
-
-    /// Returns `true` if the clause participates in propagation: not
-    /// deleted and below the activity horizon.
-    #[inline]
-    #[must_use]
-    pub fn is_active(&self, r: ClauseRef) -> bool {
-        !self.headers[r.index()].deleted
-            && self.active_limit.is_none_or(|lim| r.index() < lim)
-    }
-
     /// Iterates over all clause references, including deleted ones.
     pub fn refs(&self) -> impl Iterator<Item = ClauseRef> {
         (0..self.headers.len()).map(ClauseRef::from_index)
-    }
-
-    /// Iterates over references of active clauses.
-    pub fn active_refs(&self) -> impl Iterator<Item = ClauseRef> + '_ {
-        self.refs().filter(|&r| self.is_active(r))
     }
 
     /// Materialises a clause as an owned [`Clause`].
@@ -290,18 +259,6 @@ impl crate::engine::ClauseStore for ClauseDb {
         ClauseDb::undelete_clause(self, r);
     }
 
-    fn set_active_limit(&mut self, limit: Option<usize>) {
-        ClauseDb::set_active_limit(self, limit);
-    }
-
-    fn active_limit(&self) -> Option<usize> {
-        ClauseDb::active_limit(self)
-    }
-
-    fn is_active(&self, r: ClauseRef) -> bool {
-        ClauseDb::is_active(self, r)
-    }
-
     fn arena_len(&self) -> usize {
         ClauseDb::arena_len(self)
     }
@@ -351,31 +308,15 @@ mod tests {
     fn deletion_is_lazy_flag() {
         let mut db = ClauseDb::new();
         let a = db.add_clause(&lits(&[1, 2]), false);
-        assert!(db.is_active(a));
+        assert!(!db.is_deleted(a));
         db.delete_clause(a);
         assert!(db.is_deleted(a));
-        assert!(!db.is_active(a));
         assert_eq!(db.num_deleted(), 1);
         // double delete counts once
         db.delete_clause(a);
         assert_eq!(db.num_deleted(), 1);
         // literals remain readable after deletion
         assert_eq!(db.lits(a), lits(&[1, 2]).as_slice());
-    }
-
-    #[test]
-    fn active_limit_deactivates_suffix() {
-        let mut db = ClauseDb::new();
-        let a = db.add_clause(&lits(&[1]), false);
-        let b = db.add_clause(&lits(&[2]), true);
-        let c = db.add_clause(&lits(&[3]), true);
-        db.set_active_limit(Some(2));
-        assert!(db.is_active(a));
-        assert!(db.is_active(b));
-        assert!(!db.is_active(c));
-        assert_eq!(db.active_refs().count(), 2);
-        db.set_active_limit(None);
-        assert_eq!(db.active_refs().count(), 3);
     }
 
     #[test]

@@ -157,7 +157,7 @@ impl CountingPropagator {
             for i in 0..self.occ[(!lit).idx()].len() {
                 let r = self.occ[(!lit).idx()][i];
                 self.false_count[r.index()] += 1;
-                if !db.is_active(r) {
+                if db.is_deleted(r) {
                     continue;
                 }
                 self.num_clause_visits += 1;
@@ -357,7 +357,7 @@ mod tests {
     #[test]
     fn inactive_clauses_ignored() {
         let (mut db, mut p) = engine_for(&[vec![-1, 2], vec![-1, 3]]);
-        db.set_active_limit(Some(1));
+        db.delete_clause(ClauseRef::from_index(1));
         p.decide(lit(1));
         assert!(p.propagate(&db).is_none());
         assert!(p.assignment().is_true(lit(2)));

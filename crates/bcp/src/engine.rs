@@ -79,13 +79,13 @@ impl Iterator for ClauseRefs {
 impl ExactSizeIterator for ClauseRefs {}
 
 /// Clause storage as the checker sees it: append-only dense-indexed
-/// clauses with lazy deletion and a monotone activity horizon.
+/// clauses with lazy, reversible deletion.
 ///
 /// The dense index contract is load-bearing: [`ClauseRef`]s are
 /// insertion-order indices (`ClauseRef::from_index(i)` is the `i`-th
-/// clause ever added), so the checker's mark bitmap, unit list, and
-/// activity horizon are all plain index arithmetic regardless of how the
-/// store lays clauses out in memory.
+/// clause ever added), so the checker's mark bitmap and unit lists are
+/// plain index arithmetic regardless of how the store lays clauses out
+/// in memory.
 pub trait ClauseStore: Debug {
     /// Creates an empty store.
     fn new() -> Self;
@@ -127,16 +127,6 @@ pub trait ClauseStore: Debug {
 
     /// Reverses a deletion; callers that watch clauses must re-attach.
     fn undelete_clause(&mut self, r: ClauseRef);
-
-    /// Restricts the active set to clauses with index `< limit`
-    /// (`None` = every non-deleted clause).
-    fn set_active_limit(&mut self, limit: Option<usize>);
-
-    /// The current activity horizon.
-    fn active_limit(&self) -> Option<usize>;
-
-    /// Returns `true` if the clause participates in propagation.
-    fn is_active(&self, r: ClauseRef) -> bool;
 
     /// Total arena word count — the store's memory metric, in `u32`
     /// words (literal slots plus any inline headers).
@@ -230,10 +220,6 @@ pub trait Propagator: Debug {
 
     /// Undoes all assignments above `level` and truncates the trail.
     fn backtrack_to(&mut self, level: u32);
-
-    /// Fully resets the trail, unassigning everything including
-    /// root-level units.
-    fn reset(&mut self);
 }
 
 #[cfg(test)]

@@ -161,7 +161,7 @@ impl HeadTailPropagator {
             let mut conflict = None;
             let mut iter = list.into_iter();
             for r in iter.by_ref() {
-                if !db.is_active(r) {
+                if db.is_deleted(r) {
                     continue; // lazy removal
                 }
                 self.num_clause_visits += 1;

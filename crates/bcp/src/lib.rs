@@ -15,7 +15,7 @@
 //!
 //! Clauses live in a [`ClauseDb`] or [`ClauseArena`] store owned by the
 //! caller, so the CDCL solver (`cdcl` crate) and the proof checker
-//! (`proofver` crate) can add, delete, and *deactivate* clauses between
+//! (`proofver` crate) can add, delete and undelete clauses between
 //! propagations. The [`ClauseStore`] and [`Propagator`] traits abstract
 //! over the two layouts; [`PropagatorChoice`] is the runtime switch.
 //!

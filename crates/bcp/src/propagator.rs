@@ -182,7 +182,7 @@ struct Watch {
 /// The engine owns the assignment, the trail with decision levels, and
 /// per-variable reason/level bookkeeping; the clause database is passed
 /// into each call so that callers (solver, checker) retain ownership and
-/// may add or deactivate clauses between propagations.
+/// may add or delete clauses between propagations.
 ///
 /// # Examples
 ///
@@ -508,8 +508,8 @@ impl WatchedPropagator {
         while i < ws.len() {
             let w = ws[i];
             i += 1;
-            if !db.is_active(w.cref) {
-                continue; // lazy removal of deleted/deactivated clauses
+            if db.is_deleted(w.cref) {
+                continue; // lazy removal of deleted clauses
             }
             if self.assignment.is_true(w.blocker) {
                 ws[kept] = w;
@@ -580,18 +580,6 @@ impl WatchedPropagator {
         self.trail.truncate(new_len);
         self.trail_lim.truncate(level as usize);
         self.qhead = new_len;
-    }
-
-    /// Fully resets the trail (backtracks below the root level),
-    /// unassigning everything including root-level units. The checker
-    /// does this between independent clause checks.
-    pub fn reset(&mut self) {
-        for &l in &self.trail {
-            self.assignment.unassign(l.var());
-        }
-        self.trail.clear();
-        self.trail_lim.clear();
-        self.qhead = 0;
     }
 }
 
@@ -668,10 +656,6 @@ impl crate::engine::Propagator for WatchedPropagator {
 
     fn backtrack_to(&mut self, level: u32) {
         WatchedPropagator::backtrack_to(self, level);
-    }
-
-    fn reset(&mut self) {
-        WatchedPropagator::reset(self);
     }
 }
 
@@ -771,7 +755,7 @@ mod tests {
     #[test]
     fn deactivated_clauses_do_not_propagate() {
         let (mut db, mut p) = engine_for(&[vec![-1, 2], vec![-1, 3]]);
-        db.set_active_limit(Some(1)); // clause [-1,3] now inactive
+        p.detach_clause(&db, ClauseRef::from_index(1)); // [-1,3] unwatched
         p.decide(lit(1));
         assert!(p.propagate(&mut db).is_none());
         assert!(p.assignment().is_true(lit(2)));
@@ -785,16 +769,6 @@ mod tests {
         p.decide(lit(1));
         assert!(p.propagate(&mut db).is_none());
         assert!(p.assignment().is_unassigned(lit(2)));
-    }
-
-    #[test]
-    fn reset_clears_root_assignments() {
-        let (mut db, mut p) = engine_for(&[vec![1]]);
-        assert!(p.propagate(&mut db).is_none());
-        assert_eq!(p.assignment().num_assigned(), 1);
-        p.reset();
-        assert_eq!(p.assignment().num_assigned(), 0);
-        assert_eq!(p.decision_level(), 0);
     }
 
     #[test]

@@ -10,27 +10,35 @@
 //! (redundant) conflict clauses, and extracts an unsatisfiable core of
 //! `F` from the marks.
 //!
+//! Both are walks on the checking kernel every clausal walk shares
+//! ([`crate::kernel`]), which keeps `F`'s units at a root level:
+//! the backward walk of [`crate::drat`] over the proof as a
+//! deletion-free proof, with mark skipping off for `Proof_verification1`
+//! and on for `Proof_verification2`, and popping a clause off the stack
+//! is the walk retiring it. The chronological [`CheckMode::AllForward`]
+//! is the forward loop of [`crate::rat`] with RAT off.
+//!
 //! The checker deliberately shares no search code with the solver: its
 //! only nontrivial machinery is the watched-literal BCP engine, which the
 //! paper argues is "well established" and stable enough to trust.
 
+use std::ops::Range;
 use std::sync::atomic::AtomicBool;
-use std::sync::OnceLock;
 use std::time::Instant;
 
-use bcp::{
-    Attach, BudgetedPropagation, ClauseRef, ClauseStore, Conflict, Fuel, Propagator, Reason,
-    Stopped, WatchedPropagator,
-};
+use bcp::{Fuel, Propagator, Stopped, WatchedPropagator};
 use cnf::{Clause, CnfFormula, Lit};
 
 use crate::core_extract::UnsatCore;
+use crate::drat::{BackwardWalk, Plan, WalkProof};
 use crate::error::VerifyError;
 use crate::harness::{
-    formula_fingerprint, proof_fingerprint, Budget, Checkpoint, Harness, Outcome, Progress,
+    formula_fingerprint, proof_fingerprint, Budget, Checkpoint, ExhaustReason, Harness, Outcome,
+    Progress,
 };
-use crate::kernel::Cone;
+use crate::kernel::Stop;
 use crate::proof::ConflictClauseProof;
+use crate::rat::{walk_forward, DratStats};
 use crate::report::VerificationReport;
 
 /// Which verification procedure to run.
@@ -149,12 +157,6 @@ pub fn verify_implication(
     Checker::new(formula, proof).run_with_target(CheckMode::MarkedOnly, Some(target))
 }
 
-enum CheckOutcome {
-    Conflict(Conflict),
-    Tautology,
-    NoConflict,
-}
-
 /// What one budgeted worker (a parallel slice or the terminal check)
 /// reported back. Unlike a bare `Result`, an interrupted worker is kept
 /// distinct from a failed one, so resource exhaustion can never merge
@@ -177,21 +179,15 @@ pub(crate) enum WorkerOutcome {
     Interrupted(Stopped),
 }
 
-/// Registry handles for the checker's metrics, resolved once and shared
-/// by all checker instances (including parallel workers).
-struct ObsHandles {
-    checks: obs::metrics::Counter,
-    check_ns: obs::metrics::Histogram,
-    marking_passes: obs::metrics::Counter,
-}
+/// A native proof is a deletion-free proof: every step adds its clause.
+impl WalkProof for ConflictClauseProof {
+    fn num_steps(&self) -> usize {
+        self.len()
+    }
 
-fn obs_handles() -> &'static ObsHandles {
-    static HANDLES: OnceLock<ObsHandles> = OnceLock::new();
-    HANDLES.get_or_init(|| ObsHandles {
-        checks: obs::metrics::counter("proofver.checks"),
-        check_ns: obs::metrics::histogram("proofver.check_ns"),
-        marking_passes: obs::metrics::counter("proofver.marking_passes"),
-    })
+    fn added(&self, pos: usize) -> Option<&Clause> {
+        Some(&self.clauses()[pos])
+    }
 }
 
 /// The proof checker, exposed for callers that want to reuse the arena
@@ -205,18 +201,7 @@ fn obs_handles() -> &'static ObsHandles {
 pub struct Checker<'a, P: Propagator = WatchedPropagator> {
     formula: &'a CnfFormula,
     proof: &'a ConflictClauseProof,
-    db: P::Store,
-    prop: P,
-    /// Unit clauses by arena index (they cannot be watched; each check
-    /// enqueues the active ones explicitly).
-    units: Vec<(ClauseRef, Lit)>,
-    /// Empty clauses (immediate conflicts whenever active).
-    empties: Vec<ClauseRef>,
-    /// Marked clauses, indexed by arena position.
-    marked: Vec<bool>,
-    /// Scratch for the marking passes.
-    cone: Cone,
-    num_original: usize,
+    walk: BackwardWalk<'a, P, ConflictClauseProof>,
 }
 
 impl<'a> Checker<'a> {
@@ -234,48 +219,7 @@ impl<'a, P: Propagator> Checker<'a, P> {
     /// clauses first, then the conflict clauses in chronological order.
     #[must_use]
     pub fn with_engine(formula: &'a CnfFormula, proof: &'a ConflictClauseProof) -> Self {
-        let num_vars = formula
-            .num_vars()
-            .max(proof.max_var().map_or(0, |v| v.idx() + 1));
-        let mut db = P::Store::new();
-        let mut prop = P::new(num_vars);
-        let mut units = Vec::new();
-        let mut empties = Vec::new();
-
-        // Only F is attached here; proof clauses are attached by the run
-        // *after* the root propagation, so the lazy watch cleanup never
-        // sees a proof clause while it is below the activity horizon it
-        // will later rise above.
-        for clause in formula.iter().chain(proof.iter()) {
-            let learned = db.len() >= formula.num_clauses();
-            let r = db.add_clause(clause.lits(), learned);
-            if learned {
-                match db.clause_len(r) {
-                    0 => empties.push(r),
-                    1 => units.push((r, db.lits(r)[0])),
-                    _ => {}
-                }
-            } else {
-                match prop.attach_clause(&mut db, r) {
-                    Attach::Watched => {}
-                    Attach::Unit(l) => units.push((r, l)),
-                    Attach::Empty => empties.push(r),
-                }
-            }
-        }
-
-        let marked = vec![false; db.len()];
-        Checker {
-            formula,
-            proof,
-            db,
-            prop,
-            units,
-            empties,
-            marked,
-            cone: Cone::new(num_vars),
-            num_original: formula.num_clauses(),
-        }
+        Checker { formula, proof, walk: BackwardWalk::native(formula, proof) }
     }
 
     /// Runs the selected verification procedure.
@@ -312,92 +256,19 @@ impl<'a, P: Propagator> Checker<'a, P> {
         }
     }
 
-    fn finish(&mut self, num_checked: usize, start: Instant, fuel: &Fuel<'_>) -> Verification {
-        let elapsed = start.elapsed();
-        let core_indices: Vec<usize> =
-            (0..self.num_original).filter(|&i| self.marked[i]).collect();
-        let core = UnsatCore::new(core_indices, self.num_original);
-        let marked_steps: Vec<bool> = (0..self.proof.len())
-            .map(|i| self.marked[self.num_original + i])
-            .collect();
-
+    fn finish(&self, num_checked: usize, start: Instant, fuel: &Fuel<'_>) -> Verification {
+        let core = self.walk.core();
         let report = VerificationReport {
-            num_original: self.num_original,
+            num_original: self.formula.num_clauses(),
             num_conflict_clauses: self.proof.len(),
             num_checked,
             proof_literals: self.proof.num_literals(),
             core_size: core.len(),
-            verify_time: elapsed,
+            verify_time: start.elapsed(),
             propagations: fuel.used_propagations,
             clause_visits: fuel.used_clause_visits,
         };
-        Verification { report, core, marked_steps }
-    }
-
-    /// Attaches one proof clause *after* the persistent root level is in
-    /// place. Watched literals must be non-false, so the literals are
-    /// reordered; a clause that is unit under the root assignments joins
-    /// the per-check unit list (it may NOT extend the root trail — that
-    /// would leak its consequence into checks of earlier clauses), and a
-    /// clause falsified outright by root assignments acts like an empty
-    /// clause for every check that has it active.
-    fn attach_proof_clause(&mut self, r: ClauseRef) {
-        if self.db.clause_len(r) < 2 {
-            return; // units/empties were collected at construction
-        }
-        // classification must see only the persistent root assignments,
-        // not a preceding check's assumptions
-        self.prop.backtrack_to(0);
-        let assignment = self.prop.assignment();
-        let lits = self.db.lits_mut(r);
-        lits.sort_by_key(|&l| assignment.lit_value(l) == cnf::LBool::False);
-        let non_false = lits
-            .iter()
-            .filter(|&&l| assignment.lit_value(l) != cnf::LBool::False)
-            .count();
-        let first = lits[0];
-        match non_false {
-            0 => self.empties.push(r),
-            1 => {
-                self.prop.attach_clause(&mut self.db, r);
-                self.units.push((r, first));
-            }
-            _ => {
-                self.prop.attach_clause(&mut self.db, r);
-            }
-        }
-    }
-
-    /// Attaches every proof clause: backward checking shrinks the active
-    /// horizon monotonically, so all of `F*` can be watched up front
-    /// (lazy cleanup sheds clauses as they are popped).
-    fn attach_proof(&mut self) {
-        for step in 0..self.proof.len() {
-            self.attach_proof_clause(ClauseRef::from_index(self.num_original + step));
-        }
-    }
-
-    /// The arena index below which the terminal check propagates: the
-    /// whole of `F ∪ F*`, except a refutation's trailing empty clause,
-    /// whose check the terminal check is.
-    fn terminal_limit(&self, target: Option<&Clause>) -> usize {
-        match self.proof.clauses().last() {
-            Some(c) if c.is_empty() && target.is_none() => {
-                self.num_original + self.proof.len() - 1
-            }
-            _ => self.num_original + self.proof.len(),
-        }
-    }
-
-    /// The paper's `Conflict_analysis` (§4): mark every clause of `F`
-    /// and `F*` responsible for the conflict just found, by walking the
-    /// deduced assignments in reverse order from the conflicting pair.
-    fn mark_from_conflict(&mut self, conflict: Conflict) {
-        let _span = obs::span!("proofver.mark");
-        if obs::metrics::recording() {
-            obs_handles().marking_passes.inc();
-        }
-        self.cone.mark(&self.prop, &self.db, conflict, &mut self.marked, None);
+        Verification { report, core, marked_steps: self.walk.marked_adds() }
     }
 }
 
@@ -426,314 +297,149 @@ impl<'a, P: Propagator> Checker<'a, P> {
     ) -> Outcome {
         let start = Instant::now();
         let steps_total = self.proof.len();
-        let budget = &harness.budget;
-
         // The arena is fully allocated by `Checker::new`, so the memory
         // cap is decidable up front.
-        if self.arena_bytes() > budget.max_arena_bytes {
+        if self.arena_bytes() > harness.budget.max_arena_bytes {
             return Outcome::Exhausted {
-                reason: crate::harness::ExhaustReason::Memory,
-                progress: Progress {
-                    steps_checked: 0,
-                    steps_total,
-                    ..Progress::default()
-                },
+                reason: ExhaustReason::Memory,
+                progress: Progress { steps_total, ..Progress::default() },
                 checkpoint: None,
             };
         }
-
-        let deadline = budget.timeout.map(|t| start + t);
-        let mut fuel = Fuel {
-            used_propagations: resume.map_or(0, |c| c.spent_propagations),
-            used_clause_visits: resume.map_or(0, |c| c.spent_clause_visits),
-            max_propagations: budget.max_propagations,
-            max_clause_visits: budget.max_clause_visits,
-            deadline,
-            cancel: Some(harness.cancel.flag()),
-        };
-
-        let mut num_checked = resume.map_or(0, |c| c.num_checked);
-        let mut terminal_done = resume.is_some_and(|c| c.terminal_done);
-        let start_pos = resume.map_or(0, |c| c.next_pos);
+        let spent = resume.map_or((0, 0), |c| (c.spent_propagations, c.spent_clause_visits));
+        let mut fuel = harness.fuel(start, spent);
+        let checked = resume.map_or(0, |c| c.num_checked);
+        let next_pos = resume.map_or(0, |c| c.next_pos);
+        let terminal = !resume.is_some_and(|c| c.terminal_done);
         if let Some(ckpt) = resume {
-            debug_assert_eq!(ckpt.marks.len(), self.marked.len());
-            self.marked.copy_from_slice(&ckpt.marks);
+            self.walk.kernel.marked.copy_from_slice(&ckpt.marks);
         }
-
         // the target may mention variables beyond the formula's universe
         if let Some(v) = target.and_then(Clause::max_var) {
-            self.prop.ensure_vars(v.idx() + 1);
-            self.cone.ensure_vars(v.idx() + 1);
+            self.walk.kernel.ensure_vars(v.idx() + 1);
         }
-        let target_assumptions: Vec<Lit> = target
-            .map(|c| c.lits().iter().map(|&l| !l).collect())
-            .unwrap_or_default();
-
-        // Root level: the original formula is active in *every* check,
-        // so its units and their propagation cascade are established
-        // once, at decision level 0, and survive between checks — each
-        // check then only pays for the assumptions and the conflict
-        // clauses' contribution. Root propagation runs on every
-        // (re)start and is charged against the budget like any other
-        // work.
-        match self.propagate_root_budgeted(&mut fuel) {
-            Ok(None) => {}
-            Ok(Some(conflict)) => {
-                // F conflicts by unit propagation alone: every check
-                // would conflict on this same cone, so nothing else
-                // needs testing.
-                self.mark_from_conflict(conflict);
-                return Outcome::Verified(self.finish(num_checked, start, &fuel));
-            }
-            Err(stopped) => {
-                return self.exhausted_outcome(
-                    stopped,
-                    mode,
-                    terminal_done,
-                    start_pos,
-                    num_checked,
-                    &fuel,
-                    resume,
-                );
-            }
-        }
-
-        // The terminal check: BCP over F ∪ F* under the negated target
-        // (no assumptions for a refutation) must conflict. This subsumes
-        // the paper's "mark the final conflicting pair" initialisation:
-        // the clauses responsible for the conflict become the initial
-        // marks. If a refutation proof ends with an explicit empty
-        // clause, this is exactly its check.
-        let terminal_limit = self.terminal_limit(target);
-
-        // Pop F* in reverse chronological order (or walk it forward —
-        // §3: for all-clause checking the order does not matter).
-        // Forward checking grows the active horizon, which lazy cleanup
-        // cannot tolerate — each clause is attached only after its own
-        // check instead.
-        let forward = mode == CheckMode::AllForward;
-        let order: Vec<usize> = if forward {
-            (0..steps_total).collect()
+        let negated: Option<Vec<Lit>> = target.map(|c| c.lits().iter().map(|&l| !l).collect());
+        let target = negated.as_deref();
+        let walked = if mode == CheckMode::AllForward {
+            self.forward(terminal, target, next_pos, &mut fuel)
         } else {
-            (0..steps_total).rev().collect()
+            // Pop F* in reverse chronological order; with the walk's
+            // `checks` ending below the checkpoint's position, a resumed
+            // walk retires the steps it checked before
+            let all = mode == CheckMode::All;
+            let plan = Plan { terminal, target, checks: 0..steps_total - next_pos, all };
+            self.walk.run(&plan, &mut fuel).map(|walked| walked.num_checked)
         };
-
-        if !forward {
-            self.attach_proof();
-            if !terminal_done {
-                match self.terminal_check(&target_assumptions, terminal_limit, &mut fuel) {
-                    Ok(true) => terminal_done = true,
-                    Ok(false) => {
-                        return Outcome::Rejected {
-                            step: None,
-                            error: VerifyError::NotARefutation,
-                        }
-                    }
-                    Err(stopped) => {
-                        return self.exhausted_outcome(
-                            stopped,
-                            mode,
-                            false,
-                            start_pos,
-                            num_checked,
-                            &fuel,
-                            resume,
-                        )
-                    }
-                }
+        match walked {
+            Ok(num_checked) => Outcome::Verified(self.finish(checked + num_checked, start, &fuel)),
+            Err(Stop::NotARefutation) => {
+                Outcome::Rejected { step: None, error: VerifyError::NotARefutation }
             }
-        } else {
-            // Reconstruct forward-mode state: clauses visited before the
-            // checkpoint are attached (their checks are already done).
-            for &step in &order[..start_pos] {
-                let r = ClauseRef::from_index(self.num_original + step);
-                self.attach_proof_clause(r);
+            Err(Stop::NotImplied { step, clause }) => {
+                Outcome::Rejected { step: Some(step), error: VerifyError::NotImplied { step, clause } }
+            }
+            Err(Stop::Interrupted { stopped, terminal_done, next, num_checked }) => {
+                // the backward walk resumes below `next`, the forward
+                // walk at it
+                let next_pos = if mode == CheckMode::AllForward { next } else { steps_total - next };
+                let cursor = (terminal_done, next_pos, checked + num_checked);
+                self.exhausted(stopped, mode, cursor, &fuel, resume)
             }
         }
-
-        for (pos, &step) in order.iter().enumerate().skip(start_pos) {
-            let arena_index = self.num_original + step;
-            let clause = &self.proof.clauses()[step];
-            let skip = if clause.is_empty() && arena_index == terminal_limit {
-                // the terminal check covers exactly this clause's check
-                true
-            } else {
-                // redundant conflict clauses are skipped in marked mode (§4)
-                mode == CheckMode::MarkedOnly && !self.marked[arena_index]
-            };
-            if !skip {
-                // An empty clause mid-proof has the empty falsifying
-                // assignment: BCP over the *preceding* clauses alone must
-                // already conflict.
-                let assumptions: Vec<Lit> =
-                    clause.lits().iter().map(|&l| !l).collect();
-                match self.timed_check_budgeted(
-                    &assumptions,
-                    arena_index,
-                    &mut fuel,
-                ) {
-                    Ok(CheckOutcome::Conflict(conflict)) => {
-                        num_checked += 1;
-                        self.mark_from_conflict(conflict);
-                    }
-                    // A tautological conflict clause is trivially
-                    // implied; no clause of F or F* was needed, nothing
-                    // new marked.
-                    Ok(CheckOutcome::Tautology) => num_checked += 1,
-                    Ok(CheckOutcome::NoConflict) => {
-                        return Outcome::Rejected {
-                            step: Some(step),
-                            error: VerifyError::NotImplied {
-                                step,
-                                clause: clause.clone(),
-                            },
-                        }
-                    }
-                    Err(stopped) => {
-                        return self.exhausted_outcome(
-                            stopped,
-                            mode,
-                            terminal_done,
-                            pos,
-                            num_checked,
-                            &fuel,
-                            resume,
-                        )
-                    }
-                }
-            }
-            if forward {
-                let r = ClauseRef::from_index(arena_index);
-                self.attach_proof_clause(r);
-            }
-        }
-
-        if forward && !terminal_done {
-            match self.terminal_check(&target_assumptions, terminal_limit, &mut fuel) {
-                Ok(true) => {}
-                Ok(false) => {
-                    return Outcome::Rejected {
-                        step: None,
-                        error: VerifyError::NotARefutation,
-                    }
-                }
-                Err(stopped) => {
-                    return self.exhausted_outcome(
-                        stopped,
-                        mode,
-                        false,
-                        order.len(),
-                        num_checked,
-                        &fuel,
-                        resume,
-                    )
-                }
-            }
-        }
-
-        Outcome::Verified(self.finish(num_checked, start, &fuel))
     }
 
-    /// Checks the given steps under a private per-worker budget, with a
-    /// shared deadline and cancellation flag. The parallel checker's
-    /// worker body: panics (if any) are caught by the caller.
+    /// The chronological walk ([`CheckMode::AllForward`]): `F`'s root,
+    /// then the forward loop with RAT off from step `from`, and the
+    /// terminal check unless a resumed run passed it. A refutation's
+    /// trailing empty clause is the claim the terminal check
+    /// establishes, so it is neither checked nor attached.
+    fn forward(
+        &mut self,
+        terminal: bool,
+        target: Option<&[Lit]>,
+        from: usize,
+        fuel: &mut Fuel<'_>,
+    ) -> Result<usize, Stop> {
+        let kernel = &mut self.walk.kernel;
+        match kernel.propagate_root(fuel) {
+            // F refutes itself by propagation
+            Ok(true) => return Ok(0),
+            Ok(false) => {}
+            Err(stopped) => {
+                let terminal_done = !terminal;
+                return Err(Stop::Interrupted { stopped, terminal_done, next: from, num_checked: 0 });
+            }
+        }
+        let proof = self.proof.clauses();
+        let end = match proof.last() {
+            Some(c) if c.is_empty() && target.is_none() => proof.len() - 1,
+            _ => proof.len(),
+        };
+        let terminal = terminal.then_some(target.unwrap_or(&[]));
+        walk_forward(kernel, proof, from..end, false, terminal, fuel, &mut DratStats::default())
+    }
+
+    /// Checks the steps `steps` under a private per-worker budget, with
+    /// a shared deadline and cancellation flag: the parallel checker's
+    /// worker body, which checks every step of its slice. Panics (if
+    /// any) are caught by the caller.
     pub(crate) fn check_steps_budgeted(
-        mut self,
-        mut steps: Vec<usize>,
+        self,
+        steps: Range<usize>,
         budget: &Budget,
         cancel: &AtomicBool,
         deadline: Option<Instant>,
         starved: bool,
     ) -> WorkerOutcome {
-        let mut fuel = worker_fuel(budget, cancel, deadline, starved);
-        match self.propagate_root_budgeted(&mut fuel) {
-            Ok(None) => {}
-            Ok(Some(conflict)) => {
-                self.mark_from_conflict(conflict);
-                return self.worker_done(0, &fuel);
-            }
-            Err(stopped) => return WorkerOutcome::Interrupted(stopped),
-        }
-        self.attach_proof();
-        steps.sort_unstable_by(|a, b| b.cmp(a));
-        let mut num_checked = 0usize;
-        for step in steps {
-            let clause = &self.proof.clauses()[step];
-            let arena_index = self.num_original + step;
-            let assumptions: Vec<Lit> =
-                clause.lits().iter().map(|&l| !l).collect();
-            match self.timed_check_budgeted(&assumptions, arena_index, &mut fuel)
-            {
-                Ok(CheckOutcome::Conflict(conflict)) => {
-                    num_checked += 1;
-                    self.mark_from_conflict(conflict);
-                }
-                Ok(CheckOutcome::Tautology) => num_checked += 1,
-                Ok(CheckOutcome::NoConflict) => {
-                    return WorkerOutcome::Failed(VerifyError::NotImplied {
-                        step,
-                        clause: clause.clone(),
-                    })
-                }
-                Err(stopped) => return WorkerOutcome::Interrupted(stopped),
-            }
-        }
-        self.worker_done(num_checked, &fuel)
+        let plan = Plan { terminal: false, target: None, checks: steps, all: true };
+        self.run_worker(&plan, worker_fuel(budget, cancel, deadline, starved))
     }
 
     /// The terminal check alone, under a private budget, for the
     /// parallel checker.
     pub(crate) fn check_terminal_budgeted(
-        mut self,
+        self,
         budget: &Budget,
         cancel: &AtomicBool,
         deadline: Option<Instant>,
     ) -> WorkerOutcome {
-        let mut fuel = worker_fuel(budget, cancel, deadline, false);
-        match self.propagate_root_budgeted(&mut fuel) {
-            Ok(None) => {}
-            Ok(Some(conflict)) => {
-                self.mark_from_conflict(conflict);
-                return self.worker_done(0, &fuel);
-            }
-            Err(stopped) => return WorkerOutcome::Interrupted(stopped),
-        }
-        let terminal_limit = self.terminal_limit(None);
-        self.attach_proof();
-        match self.terminal_check(&[], terminal_limit, &mut fuel) {
-            Ok(true) => self.worker_done(0, &fuel),
-            Ok(false) => WorkerOutcome::Failed(VerifyError::NotARefutation),
-            Err(stopped) => WorkerOutcome::Interrupted(stopped),
-        }
+        let end = self.proof.len();
+        let plan = Plan { terminal: true, target: None, checks: end..end, all: true };
+        self.run_worker(&plan, worker_fuel(budget, cancel, deadline, false))
     }
 
-    fn worker_done(self, checked: usize, fuel: &Fuel<'_>) -> WorkerOutcome {
-        WorkerOutcome::Done {
-            marks: self.marked,
-            checked,
-            propagations: fuel.used_propagations,
-            clause_visits: fuel.used_clause_visits,
+    fn run_worker(mut self, plan: &Plan<'_>, mut fuel: Fuel<'_>) -> WorkerOutcome {
+        match self.walk.run(plan, &mut fuel) {
+            Ok(walked) => WorkerOutcome::Done {
+                marks: self.walk.kernel.marked,
+                checked: walked.num_checked,
+                propagations: fuel.used_propagations,
+                clause_visits: fuel.used_clause_visits,
+            },
+            Err(Stop::NotARefutation) => WorkerOutcome::Failed(VerifyError::NotARefutation),
+            Err(Stop::NotImplied { step, clause }) => {
+                WorkerOutcome::Failed(VerifyError::NotImplied { step, clause })
+            }
+            Err(Stop::Interrupted { stopped, .. }) => WorkerOutcome::Interrupted(stopped),
         }
     }
 
     /// Size of the clause arena in bytes — what one engine copy costs,
     /// the unit of the [`Budget::max_arena_bytes`] cap.
     pub(crate) fn arena_bytes(&self) -> u64 {
-        (self.db.arena_len() * std::mem::size_of::<Lit>()) as u64
+        self.walk.arena_bytes()
     }
 
     /// The outcome of a run that stopped at a check boundary, with its
-    /// checkpoint. A fresh run fingerprints its inputs here; a resumed
-    /// run reuses the fingerprints of the checkpoint it was validated
-    /// against.
-    #[allow(clippy::too_many_arguments)]
-    fn exhausted_outcome(
+    /// checkpoint at `cursor` (whether the terminal check completed, the
+    /// next position and the checks completed). A fresh run
+    /// fingerprints its inputs here; a resumed run reuses the
+    /// fingerprints of the checkpoint it was validated against.
+    fn exhausted(
         &self,
         stopped: Stopped,
         mode: CheckMode,
-        terminal_done: bool,
-        next_pos: usize,
-        num_checked: usize,
+        (terminal_done, next_pos, num_checked): (bool, usize, usize),
         fuel: &Fuel<'_>,
         resume: Option<&Checkpoint>,
     ) -> Outcome {
@@ -752,7 +458,7 @@ impl<'a, P: Propagator> Checker<'a, P> {
             checkpoint: Some(Box::new(Checkpoint {
                 mode,
                 formula_hash,
-                formula_clauses: self.num_original,
+                formula_clauses: self.formula.num_clauses(),
                 proof_hash,
                 proof_clauses: self.proof.len(),
                 terminal_done,
@@ -760,144 +466,8 @@ impl<'a, P: Propagator> Checker<'a, P> {
                 num_checked,
                 spent_propagations: fuel.used_propagations,
                 spent_clause_visits: fuel.used_clause_visits,
-                marks: self.marked.clone(),
+                marks: self.walk.kernel.marked.clone(),
             })),
-        }
-    }
-
-    /// The terminal check over the arena below `limit` under
-    /// `assumptions`; marks its cone. `Ok(false)`: no conflict, so the
-    /// proof derives neither the empty clause nor the target.
-    fn terminal_check(
-        &mut self,
-        assumptions: &[Lit],
-        limit: usize,
-        fuel: &mut Fuel<'_>,
-    ) -> Result<bool, Stopped> {
-        Ok(match self.timed_check_budgeted(assumptions, limit, fuel)? {
-            CheckOutcome::Conflict(conflict) => {
-                self.mark_from_conflict(conflict);
-                true
-            }
-            // a tautological target is implied with no clause involved
-            CheckOutcome::Tautology => true,
-            CheckOutcome::NoConflict => false,
-        })
-    }
-
-    /// [`Checker::bcp_under_assumptions_budgeted`] with per-check
-    /// telemetry: counts the check and records its duration when metric
-    /// recording is on.
-    fn timed_check_budgeted(
-        &mut self,
-        assumptions: &[Lit],
-        limit: usize,
-        fuel: &mut Fuel<'_>,
-    ) -> Result<CheckOutcome, Stopped> {
-        if !obs::metrics::recording() {
-            return self.bcp_under_assumptions_budgeted(assumptions, limit, fuel);
-        }
-        let handles = obs_handles();
-        let start = Instant::now();
-        let outcome =
-            self.bcp_under_assumptions_budgeted(assumptions, limit, fuel);
-        handles.checks.inc();
-        handles.check_ns.record(start.elapsed().as_nanos() as u64);
-        outcome
-    }
-
-    /// One verification check on metered fuel: assume the given
-    /// literals, enqueue the active unit clauses of `F*`, and propagate
-    /// over the clauses with arena index `< limit`. `F`'s contribution
-    /// persists at the root level from
-    /// [`Checker::propagate_root_budgeted`]. `Err` means the budget ran
-    /// out (or the run was cancelled) before the check could complete;
-    /// the engine is left backtrackable but the check produced no
-    /// verdict and must be redone.
-    fn bcp_under_assumptions_budgeted(
-        &mut self,
-        assumptions: &[Lit],
-        limit: usize,
-        fuel: &mut Fuel<'_>,
-    ) -> Result<CheckOutcome, Stopped> {
-        // a previous check may have drained the fuel exactly; stop at the
-        // boundary so the checkpoint lands between checks
-        if let Some(stopped) = fuel.stop() {
-            return Err(stopped);
-        }
-        self.db.set_active_limit(Some(limit));
-        // An active empty clause conflicts before any propagation.
-        // (Empty clauses of F were handled by the root propagation.)
-        if let Some(&r) = self.empties.iter().find(|r| r.index() < limit) {
-            return Ok(CheckOutcome::Conflict(Conflict { clause: r }));
-        }
-        self.prop.backtrack_to(0);
-        self.prop.push_level();
-        for &l in assumptions {
-            if !self.prop.assume(l) {
-                // ¬l is already true: either by an earlier assumption of
-                // this very check — the clause under test is a tautology,
-                // trivially implied with no clause involved — or by the
-                // persistent root propagation of F, in which case the
-                // falsifying assignment conflicts with ¬l's reason clause.
-                return Ok(match self.prop.reason(l.var()) {
-                    Reason::Propagated(r) => {
-                        CheckOutcome::Conflict(Conflict { clause: r })
-                    }
-                    _ => CheckOutcome::Tautology,
-                });
-            }
-        }
-        for i in 0..self.units.len() {
-            let (r, l) = self.units[i];
-            if r.index() < self.num_original
-                || r.index() >= limit
-                || self.db.is_deleted(r)
-            {
-                continue;
-            }
-            if let Err(conflict) = self.prop.enqueue_propagated(l, r) {
-                return Ok(CheckOutcome::Conflict(conflict));
-            }
-        }
-        match self.prop.propagate_budgeted(&mut self.db, fuel) {
-            BudgetedPropagation::Conflict(c) => Ok(CheckOutcome::Conflict(c)),
-            BudgetedPropagation::Fixpoint => Ok(CheckOutcome::NoConflict),
-            BudgetedPropagation::Interrupted(stopped) => Err(stopped),
-        }
-    }
-
-    /// Establishes the permanent root level on metered fuel: the units
-    /// of the original formula and everything they propagate through
-    /// `F` alone. Returns a conflict if `F` refutes itself by
-    /// propagation (including an empty clause in `F`).
-    fn propagate_root_budgeted(
-        &mut self,
-        fuel: &mut Fuel<'_>,
-    ) -> Result<Option<Conflict>, Stopped> {
-        let _span = obs::span!("proofver.root_propagate");
-        if let Some(stopped) = fuel.stop() {
-            return Err(stopped);
-        }
-        self.db.set_active_limit(Some(self.num_original));
-        if let Some(&r) =
-            self.empties.iter().find(|r| r.index() < self.num_original)
-        {
-            return Ok(Some(Conflict { clause: r }));
-        }
-        for i in 0..self.units.len() {
-            let (r, l) = self.units[i];
-            if r.index() >= self.num_original {
-                continue;
-            }
-            if let Err(conflict) = self.prop.enqueue_propagated(l, r) {
-                return Ok(Some(conflict));
-            }
-        }
-        match self.prop.propagate_budgeted(&mut self.db, fuel) {
-            BudgetedPropagation::Conflict(c) => Ok(Some(c)),
-            BudgetedPropagation::Fixpoint => Ok(None),
-            BudgetedPropagation::Interrupted(stopped) => Err(stopped),
         }
     }
 }

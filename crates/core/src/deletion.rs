@@ -18,13 +18,13 @@
 //! not the most recent clause with its content, and every addition must
 //! be RUP — there is no RAT fallback.
 
-use bcp::{ClauseRef, WatchedPropagator};
+use bcp::{ClauseRef, Fuel, WatchedPropagator};
 use cnf::{Clause, CnfFormula};
 
 use crate::core_extract::UnsatCore;
-use crate::drat::{BackwardWalk, DratError, DratOutcome, WalkProof};
+use crate::drat::{BackwardWalk, Plan, WalkProof};
 use crate::error::VerifyError;
-use crate::harness::Harness;
+use crate::kernel::Stop;
 
 /// One event of an annotated proof.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -140,19 +140,15 @@ impl AnnotatedProof {
                 }
             }
         }
-        match walk.run(&Harness::default()) {
+        match walk.run(&Plan::refutation(self.num_adds()), &mut Fuel::unlimited()) {
             Ok(walked) => Ok(AnnotatedVerification {
                 core: walk.core(),
                 num_checked: walked.num_checked,
                 marked_adds: walk.marked_adds(),
             }),
-            Err(DratOutcome::Rejected { error: DratError::NotImplied { step, clause }, .. }) => {
-                Err(VerifyError::NotImplied { step, clause })
-            }
-            Err(DratOutcome::Rejected { error: DratError::NotARefutation, .. }) => {
-                Err(VerifyError::NotARefutation)
-            }
-            Err(other) => unreachable!("an unlimited RUP walk by reference gave {other:?}"),
+            Err(Stop::NotImplied { step, clause }) => Err(VerifyError::NotImplied { step, clause }),
+            Err(Stop::NotARefutation) => Err(VerifyError::NotARefutation),
+            Err(Stop::Interrupted { .. }) => unreachable!("unlimited fuel never runs out"),
         }
     }
 }

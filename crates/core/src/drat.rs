@@ -18,8 +18,9 @@
 //!
 //! The same walk checks deletion-annotated proofs
 //! ([`crate::AnnotatedProof::verify`]), with deletions by reference and
-//! RAT off; its per-check steps are the shared backward-checking
-//! kernel's.
+//! RAT off, and native conflict-clause proofs ([`crate::Checker`]),
+//! deletion-free and from the kernel's root level over `F`'s units; its
+//! per-check steps are the shared backward-checking kernel's.
 //!
 //! Both encodings, the tolerated edge cases, and the divergences from
 //! drat-trim are specified in `docs/FORMATS.md`.
@@ -29,18 +30,19 @@ use std::error::Error;
 use std::fmt;
 use std::hash::BuildHasher;
 use std::io::{self, Write};
+use std::ops::Range;
 use std::time::Instant;
 
 use bcp::{
-    ArenaWatchedPropagator, Attach, ClauseRef, ClauseStore, Fuel, Propagator, PropagatorChoice,
-    Stopped, WatchedPropagator,
+    ArenaWatchedPropagator, ClauseRef, ClauseStore, Fuel, Propagator, PropagatorChoice,
+    WatchedPropagator,
 };
 use cnf::{Clause, CnfFormula, Lit, Var};
 
 use crate::binary::{read_varint, write_varint, VarintFault};
 use crate::core_extract::UnsatCore;
 use crate::harness::{ExhaustReason, Harness, Progress};
-use crate::kernel::{lrat_id, Check, Implied, Kernel};
+use crate::kernel::{lrat_id, Implied, Kernel, Stop};
 use crate::lrat::{LratAdd, LratLine, LratProof};
 use crate::proof::ConflictClauseProof;
 use crate::rat::DratStats;
@@ -873,6 +875,7 @@ impl WalkProof for DratProof {
 
 /// What a walk that reached the start of the proof established, besides
 /// its marks.
+#[derive(Default)]
 pub(crate) struct Walked {
     pub(crate) num_checked: usize,
     stats: DratStats,
@@ -881,18 +884,44 @@ pub(crate) struct Walked {
     trailing_empty: Option<ClauseRef>,
     /// The terminal conflict's cone as LRAT hints (DRAT walks only).
     terminal_hints: Vec<i64>,
-    propagations: u64,
-    clause_visits: u64,
 }
 
-/// The backward walk shared by DRAT and deletion-annotated (DRUP)
-/// proofs. The caller stores the proof's additions and resolves its
-/// deletions ([`BackwardWalk::add`], [`BackwardWalk::delete`]); the walk
-/// then checks the marked additions from the last step back, each
-/// against the clauses live at its point.
+/// What a backward walk checks.
+pub(crate) struct Plan<'t> {
+    /// Whether the terminal check runs (a resumed walk may have run it).
+    pub(crate) terminal: bool,
+    /// The negated target the terminal check assumes; `None` for a
+    /// refutation, whose trailing empty clause the terminal check
+    /// stands for.
+    pub(crate) target: Option<&'t [Lit]>,
+    /// The additions checked, by index. The walk retires the additions
+    /// above unchecked (a resumed walk checked them before) and stops
+    /// below.
+    pub(crate) checks: Range<usize>,
+    /// Check every addition in `checks` (`Proof_verification1`), not
+    /// only the marked ones.
+    pub(crate) all: bool,
+}
+
+impl Plan<'_> {
+    /// A refutation's walk: the terminal check, then the marked
+    /// additions among the first `adds`.
+    pub(crate) fn refutation(adds: usize) -> Self {
+        Plan { terminal: true, target: None, checks: 0..adds, all: false }
+    }
+}
+
+/// The backward walk shared by DRAT, deletion-annotated (DRUP) and
+/// native proofs. The caller stores the proof's additions and resolves
+/// its deletions ([`BackwardWalk::add`], [`BackwardWalk::delete`]); the
+/// walk then checks the additions its [`Plan`] names from the last step
+/// back, each against the clauses live at its point. A native walk
+/// (its kernel's `native` set) first propagates `F`'s units at a root
+/// level.
+#[derive(Debug)]
 pub(crate) struct BackwardWalk<'a, P: Propagator, W> {
     proof: &'a W,
-    kernel: Kernel<P>,
+    pub(crate) kernel: Kernel<P>,
     /// arena ref of each addition step (in proof order)
     add_refs: Vec<ClauseRef>,
     /// resolved target of each deletion step (in proof order)
@@ -916,6 +945,7 @@ impl<'a, P: Propagator, W: WalkProof> BackwardWalk<'a, P, W> {
         for clause in formula.iter() {
             kernel.db.add_clause(clause.lits(), false);
         }
+        kernel.marked = vec![false; formula.num_clauses()];
         BackwardWalk {
             proof,
             kernel,
@@ -927,9 +957,27 @@ impl<'a, P: Propagator, W: WalkProof> BackwardWalk<'a, P, W> {
         }
     }
 
+    /// A native walk over a deletion-free proof, with the kernel's
+    /// native discipline. The formula's clauses are attached before the
+    /// proof's are stored, as the native checker always did: its watch
+    /// lists then grow before the store does, which keeps a daemon's
+    /// peak memory where it was.
+    pub(crate) fn native(formula: &CnfFormula, proof: &'a W) -> Self {
+        let mut walk = BackwardWalk::new(formula, proof, false);
+        walk.kernel.native = true;
+        walk.kernel.attach_live(0..walk.num_original);
+        for pos in 0..proof.num_steps() {
+            if let Some(clause) = proof.added(pos) {
+                walk.add(clause);
+            }
+        }
+        walk
+    }
+
     /// Stores the next addition step's clause.
     pub(crate) fn add(&mut self, clause: &Clause) -> ClauseRef {
         let r = self.kernel.db.add_clause(clause.lits(), true);
+        self.kernel.marked.push(false);
         self.add_refs.push(r);
         r
     }
@@ -956,73 +1004,61 @@ impl<'a, P: Propagator, W: WalkProof> BackwardWalk<'a, P, W> {
         self.add_refs.iter().map(|r| self.kernel.marked[r.index()]).collect()
     }
 
-    /// Runs the walk under `harness`: the terminal check over the final
-    /// live set, then every step from the last back. `Err` carries the
-    /// rejection or exhaustion that stopped it.
-    pub(crate) fn run(&mut self, harness: &Harness) -> Result<Walked, DratOutcome> {
-        let start = Instant::now();
-        let budget = &harness.budget;
-        let kernel = &mut self.kernel;
+    /// The store's size in bytes, which the memory cap bounds.
+    pub(crate) fn arena_bytes(&self) -> u64 {
+        (self.kernel.db.arena_len() * std::mem::size_of::<Lit>()) as u64
+    }
 
+    /// Runs `plan` on `fuel`: a native walk's root level, the terminal
+    /// check over the final live set, then every step from the last back.
+    /// `Err` carries what stopped it.
+    pub(crate) fn run(&mut self, plan: &Plan<'_>, fuel: &mut Fuel<'_>) -> Result<Walked, Stop> {
+        let mut walked = Walked::default();
+        let interrupted = |stopped, terminal_done, next, num_checked| Stop::Interrupted {
+            stopped,
+            terminal_done,
+            next,
+            num_checked,
+        };
         // Attach the clauses live at the end of the proof in ref order:
         // the watch lists come out exactly as attaching each clause when
-        // added and detaching it when deleted would leave them.
-        for r in kernel.db.refs() {
-            if kernel.db.clause_len(r) == 0 {
-                // empty clauses are found by a scan; liveness is checked
-                // at use
-                kernel.empties.push(r);
-            } else if !kernel.db.is_deleted(r) {
-                if let Attach::Unit(l) = kernel.prop.attach_clause(&mut kernel.db, r) {
-                    kernel.units.insert(r, l);
-                }
+        // added and detaching it when deleted would leave them. A native
+        // walk, whose formula is attached already, propagates F's units
+        // before the proof is attached.
+        if self.kernel.native {
+            match self.kernel.propagate_root(fuel) {
+                // F refutes itself by propagation: every check would
+                // conflict on the cone just marked, so nothing else
+                // needs testing
+                Ok(true) => return Ok(walked),
+                Ok(false) => {}
+                Err(s) => return Err(interrupted(s, !plan.terminal, plan.checks.end, 0)),
             }
+        } else {
+            self.kernel.attach_live(0..self.num_original);
         }
-        kernel.marked = vec![false; kernel.db.len()];
+        self.kernel.attach_live(self.num_original..self.kernel.db.len());
         if self.drat {
             self.hints = vec![None; self.add_refs.len()];
         }
 
-        // the arena is fully allocated, so the memory cap is decidable
-        // up front
-        let arena_bytes = (kernel.db.arena_len() * std::mem::size_of::<Lit>()) as u64;
-        if arena_bytes > budget.max_arena_bytes {
-            return Err(DratOutcome::Exhausted {
-                reason: ExhaustReason::Memory,
-                progress: Progress { steps_total: self.add_refs.len(), ..Progress::default() },
-            });
+        // A refutation's trailing live empty clause is the claim being
+        // established — it must not witness its own check. The terminal
+        // check below *is* its check; its hints become the empty
+        // clause's LRAT line.
+        let last = self.add_refs.last().copied();
+        let trailing = last.filter(|&r| plan.target.is_none() && self.kernel.db.clause_len(r) == 0);
+        walked.trailing_empty = trailing.filter(|&r| !self.kernel.db.is_deleted(r));
+        if let Some(r) = walked.trailing_empty {
+            self.kernel.db.delete_clause(r);
         }
-        let mut fuel = Fuel {
-            used_propagations: 0,
-            used_clause_visits: 0,
-            max_propagations: budget.max_propagations,
-            max_clause_visits: budget.max_clause_visits,
-            deadline: budget.timeout.map(|t| start + t),
-            cancel: Some(harness.cancel.flag()),
-        };
-        let mut num_checked = 0usize;
-        let mut stats = DratStats::default();
-
-        // A trailing live empty clause is the claim being established —
-        // it must not witness its own check. The terminal check below
-        // *is* its check; its hints become the empty clause's LRAT line.
-        let trailing_empty = self.add_refs.last().copied().filter(|&last| {
-            self.kernel.db.clause_len(last) == 0 && !self.kernel.db.is_deleted(last)
-        });
-        if let Some(last) = trailing_empty {
-            self.kernel.db.delete_clause(last);
-        }
-
-        let mut terminal_hints = Vec::new();
-        match self.kernel.check(&[], &mut fuel) {
-            Check::Conflict(conflict) => {
-                self.kernel.mark_conflict(conflict, self.drat.then_some(&mut terminal_hints));
+        if plan.terminal {
+            let hints = self.drat.then_some(&mut walked.terminal_hints);
+            match self.kernel.refutes(plan.target.unwrap_or(&[]), hints, fuel) {
+                Ok(true) => {}
+                Ok(false) => return Err(Stop::NotARefutation),
+                Err(s) => return Err(interrupted(s, false, plan.checks.end, 0)),
             }
-            Check::Vacuous => unreachable!("no assumptions, no clash"),
-            Check::NoConflict => {
-                return Err(DratOutcome::Rejected { step: None, error: DratError::NotARefutation })
-            }
-            Check::Interrupted(s) => return Err(self.exhausted(s, num_checked, &fuel)),
         }
 
         // Walk the steps backward.
@@ -1048,6 +1084,9 @@ impl<'a, P: Propagator, W: WalkProof> BackwardWalk<'a, P, W> {
                 continue;
             };
             add_index -= 1;
+            if add_index < plan.checks.start {
+                break;
+            }
             let r = self.add_refs[add_index];
             // deactivate the clause being checked. It is never
             // resurrected, so its watch entries may go lazily: both
@@ -1056,51 +1095,36 @@ impl<'a, P: Propagator, W: WalkProof> BackwardWalk<'a, P, W> {
                 self.kernel.db.delete_clause(r);
                 self.kernel.units.remove(&r);
             }
-            let is_trailing_empty = clause.is_empty() && add_index == self.add_refs.len() - 1;
-            if is_trailing_empty || !self.kernel.marked[r.index()] {
+            if Some(r) == trailing
+                || !plan.checks.contains(&add_index)
+                || !(plan.all || self.kernel.marked[r.index()])
+            {
                 continue;
             }
-            num_checked += 1;
             hints.clear();
             let implied = self.kernel.implied(
                 clause.lits(),
                 self.drat,
                 self.drat.then_some(&mut hints),
-                &mut fuel,
-                &mut stats,
+                fuel,
+                &mut walked.stats,
             );
             match implied {
-                Implied::Yes if self.drat => self.hints[add_index] = Some(hints.as_slice().into()),
-                Implied::Yes => {}
-                Implied::No => {
-                    return Err(DratOutcome::Rejected {
-                        step: Some(add_index),
-                        error: DratError::NotImplied { step: add_index, clause: clause.clone() },
-                    })
+                Implied::Yes => {
+                    walked.num_checked += 1;
+                    if self.drat {
+                        self.hints[add_index] = Some(hints.as_slice().into());
+                    }
                 }
-                Implied::Interrupted(s) => return Err(self.exhausted(s, num_checked, &fuel)),
+                Implied::No => {
+                    return Err(Stop::NotImplied { step: add_index, clause: clause.clone() })
+                }
+                Implied::Interrupted(s) => {
+                    return Err(interrupted(s, true, add_index + 1, walked.num_checked))
+                }
             }
         }
-        Ok(Walked {
-            num_checked,
-            stats,
-            trailing_empty,
-            terminal_hints,
-            propagations: fuel.used_propagations,
-            clause_visits: fuel.used_clause_visits,
-        })
-    }
-
-    fn exhausted(&self, stopped: Stopped, num_checked: usize, fuel: &Fuel<'_>) -> DratOutcome {
-        DratOutcome::Exhausted {
-            reason: stopped.into(),
-            progress: Progress {
-                steps_checked: num_checked,
-                steps_total: self.add_refs.len(),
-                propagations: fuel.used_propagations,
-                clause_visits: fuel.used_clause_visits,
-            },
-        }
+        Ok(walked)
     }
 }
 
@@ -1147,16 +1171,40 @@ fn verify_drat_walk<P: Propagator>(
         Ok(walk) => walk,
         Err(error) => return DratOutcome::Rejected { step: None, error },
     };
-    match walk.run(harness) {
-        Ok(walked) => DratOutcome::Verified(Box::new(walk.certify(walked))),
-        Err(outcome) => outcome,
+    let adds = walk.add_refs.len();
+    // the arena is fully allocated, so the memory cap is decidable up
+    // front
+    if walk.arena_bytes() > harness.budget.max_arena_bytes {
+        return DratOutcome::Exhausted {
+            reason: ExhaustReason::Memory,
+            progress: Progress { steps_total: adds, ..Progress::default() },
+        };
+    }
+    let mut fuel = harness.fuel(Instant::now(), (0, 0));
+    match walk.run(&Plan::refutation(adds), &mut fuel) {
+        Ok(walked) => DratOutcome::Verified(Box::new(walk.certify(walked, &fuel))),
+        Err(Stop::NotARefutation) => {
+            DratOutcome::Rejected { step: None, error: DratError::NotARefutation }
+        }
+        Err(Stop::NotImplied { step, clause }) => {
+            DratOutcome::Rejected { step: Some(step), error: DratError::NotImplied { step, clause } }
+        }
+        Err(Stop::Interrupted { stopped, num_checked, .. }) => DratOutcome::Exhausted {
+            reason: stopped.into(),
+            progress: Progress {
+                steps_checked: num_checked,
+                steps_total: adds,
+                propagations: fuel.used_propagations,
+                clause_visits: fuel.used_clause_visits,
+            },
+        },
     }
 }
 
 impl<P: Propagator> BackwardWalk<'_, P, DratProof> {
     /// The verification result of a completed DRAT walk, with its LRAT
     /// certificate.
-    fn certify(mut self, walked: Walked) -> DratVerification {
+    fn certify(mut self, walked: Walked, fuel: &Fuel<'_>) -> DratVerification {
         if let Some(last) = walked.trailing_empty {
             // keep the claim itself in the trimmed proof and LRAT
             self.kernel.marked[last.index()] = true;
@@ -1177,8 +1225,8 @@ impl<P: Propagator> BackwardWalk<'_, P, DratProof> {
             marked_adds,
             kept_deletes,
             lrat,
-            propagations: walked.propagations,
-            clause_visits: walked.clause_visits,
+            propagations: fuel.used_propagations,
+            clause_visits: fuel.used_clause_visits,
         }
     }
 
@@ -1490,19 +1538,25 @@ mod tests {
 
     #[test]
     fn starved_budget_exhausts_without_a_verdict() {
+        // The terminal check conflicts on the units `2` and `-2` without
+        // a propagation; the checks of `-2` and `2` take one each. A
+        // check the cap cuts short is not counted.
         let p = proof_of("2 0\n-2 0\n0\n");
-        let harness = Harness::with_budget(Budget::unlimited().max_propagations(1));
-        match verify_drat_backward_harnessed(
-            &xor_square(),
-            &p,
-            &harness,
-            PropagatorChoice::Watched,
-        ) {
-            DratOutcome::Exhausted { reason, progress } => {
-                assert_eq!(reason, ExhaustReason::Propagations);
-                assert_eq!(progress.steps_total, 3);
+        for (cap, completed) in [(0, 0), (1, 1)] {
+            let harness = Harness::with_budget(Budget::unlimited().max_propagations(cap));
+            match verify_drat_backward_harnessed(
+                &xor_square(),
+                &p,
+                &harness,
+                PropagatorChoice::Watched,
+            ) {
+                DratOutcome::Exhausted { reason, progress } => {
+                    assert_eq!(reason, ExhaustReason::Propagations);
+                    assert_eq!(progress.steps_checked, completed, "cap {cap}");
+                    assert_eq!(progress.steps_total, 3);
+                }
+                other => panic!("cap {cap}: expected exhaustion, got {other:?}"),
             }
-            other => panic!("expected exhaustion, got {other:?}"),
         }
     }
 

@@ -43,9 +43,9 @@ use std::io::{Read as _, Write as _};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use bcp::Stopped;
+use bcp::{Fuel, Stopped};
 use cnf::CnfFormula;
 
 use crate::checker::{CheckMode, Checker, Verification};
@@ -306,6 +306,19 @@ impl Harness {
     #[must_use]
     pub fn with_budget(budget: Budget) -> Self {
         Harness { budget, ..Harness::default() }
+    }
+
+    /// The fuel of a run started at `start`, which has already spent
+    /// `spent` propagations and clause visits (a resumed run's).
+    pub(crate) fn fuel(&self, start: Instant, spent: (u64, u64)) -> Fuel<'_> {
+        Fuel {
+            used_propagations: spent.0,
+            used_clause_visits: spent.1,
+            max_propagations: self.budget.max_propagations,
+            max_clause_visits: self.budget.max_clause_visits,
+            deadline: self.budget.timeout.map(|t| start + t),
+            cancel: Some(self.cancel.flag()),
+        }
     }
 }
 

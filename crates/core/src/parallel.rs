@@ -15,6 +15,7 @@
 //! enforced per worker, and a run that stops early reports
 //! [`Outcome::Exhausted`] instead of a fabricated verdict.
 
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -224,13 +225,9 @@ fn parallel_harnessed_generic<P: Propagator>(
         _ => proof.len(),
     };
     let chunk = checkable.div_ceil(num_threads).max(1);
-    let slices: Vec<Vec<usize>> = (0..num_threads)
-        .map(|t| {
-            let lo = t * chunk;
-            let hi = ((t + 1) * chunk).min(checkable);
-            (lo..hi.max(lo)).collect()
-        })
-        .filter(|s: &Vec<usize>| !s.is_empty())
+    let slices: Vec<Range<usize>> = (0..num_threads)
+        .map(|t| t * chunk..((t + 1) * chunk).min(checkable))
+        .filter(|s| !s.is_empty())
         .collect();
 
     if obs::metrics::recording() {
@@ -243,7 +240,7 @@ fn parallel_harnessed_generic<P: Propagator>(
 
     // Fan out. `join()` hands back `Err(payload)` for a panicked worker
     // instead of unwinding the whole scope — panic isolation.
-    let run_slice = |slice_index: usize, steps: Vec<usize>| {
+    let run_slice = |slice_index: usize, steps: Range<usize>| {
         let _span = obs::span!("proofver.par.worker");
         let starved = harness.faults.before_slice(slice_index);
         Checker::<P>::with_engine(formula, proof)
@@ -367,16 +364,16 @@ fn parallel_harnessed_generic<P: Propagator>(
 /// succeeds). `None` means every retry panicked too.
 fn retry_slice(
     slice_index: usize,
-    steps: &[usize],
+    steps: &Range<usize>,
     harness: &Harness,
-    run_slice: &impl Fn(usize, Vec<usize>) -> WorkerOutcome,
+    run_slice: &impl Fn(usize, Range<usize>) -> WorkerOutcome,
 ) -> Option<WorkerOutcome> {
     for _ in 0..harness.max_slice_retries {
         if obs::metrics::recording() {
             par_obs_handles().slice_retries.inc();
         }
         match catch_unwind(AssertUnwindSafe(|| {
-            run_slice(slice_index, steps.to_vec())
+            run_slice(slice_index, steps.clone())
         })) {
             Ok(outcome) => return Some(outcome),
             Err(_panic) => {

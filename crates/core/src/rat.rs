@@ -9,16 +9,20 @@
 //! clause addition — and is exactly the extension the DRAT format added
 //! on top of this paper's RUP checking.
 //!
-//! Checking is *forward* (RAT is order-sensitive): one loop over the
+//! Checking is *forward* (RAT is order-sensitive): after `F`'s units
+//! are propagated once at the kernel's root level, one loop over the
 //! shared [`crate::kernel::Kernel`] checks each clause with
-//! [`crate::kernel::Kernel::implied`] against the clauses before it,
-//! then attaches it to the active set.
+//! [`crate::kernel::Kernel::implied`] against the root and the clauses
+//! before it, then attaches it to the active set. The native
+//! [`crate::CheckMode::AllForward`] runs the same loop with RAT off.
 
-use bcp::{Fuel, WatchedPropagator};
-use cnf::{Clause, CnfFormula};
+use std::ops::Range;
+
+use bcp::{ClauseRef, ClauseStore, Fuel, Propagator, WatchedPropagator};
+use cnf::{Clause, CnfFormula, Lit};
 
 use crate::error::VerifyError;
-use crate::kernel::{Check, Implied, Kernel};
+use crate::kernel::{Implied, Kernel, Stop};
 use crate::proof::ConflictClauseProof;
 
 /// Statistics of a successful DRAT check.
@@ -67,11 +71,7 @@ pub fn verify_drat(
     formula: &CnfFormula,
     proof: &ConflictClauseProof,
 ) -> Result<DratStats, VerifyError> {
-    let (mut kernel, stats) = check_forward(formula, proof)?;
-    match kernel.check(&[], &mut Fuel::unlimited()) {
-        Check::Conflict(_) => Ok(stats),
-        _ => Err(VerifyError::NotARefutation),
-    }
+    check_forward(formula, proof, Some(&[]))
 }
 
 /// Checks the steps of `proof` (RUP-or-RAT, forward) without requiring
@@ -85,46 +85,85 @@ pub fn check_drat_steps(
     formula: &CnfFormula,
     proof: &ConflictClauseProof,
 ) -> Result<DratStats, VerifyError> {
-    check_forward(formula, proof).map(|(_, stats)| stats)
+    check_forward(formula, proof, None)
 }
 
 /// Checks every step of `proof`, RUP first and then RAT on its first
-/// literal, against `formula` and the steps before it, attaching each
-/// accepted clause to the kernel it returns.
+/// literal, against `formula`'s root and the steps before it, then, with
+/// `terminal`, the terminal check under the negated target it holds.
 fn check_forward(
     formula: &CnfFormula,
     proof: &ConflictClauseProof,
-) -> Result<(Kernel<WatchedPropagator>, DratStats), VerifyError> {
+    terminal: Option<&[Lit]>,
+) -> Result<DratStats, VerifyError> {
     let num_vars = formula
         .num_vars()
         .max(proof.max_var().map_or(0, |v| v.idx() + 1));
-    let mut kernel = Kernel::with_occurrences(num_vars);
+    let mut kernel = Kernel::<WatchedPropagator>::with_occurrences(num_vars);
     for clause in formula.iter() {
-        join(&mut kernel, clause, false);
+        kernel.db.add_clause(clause.lits(), false);
     }
+    for clause in proof.iter() {
+        kernel.db.add_clause(clause.lits(), true);
+    }
+    kernel.marked = vec![false; kernel.db.len()];
+    kernel.attach_live(0..formula.num_clauses());
     let mut fuel = Fuel::unlimited();
+    // a root conflict leaves its clause falsified, so every check below
+    // conflicts on it, as it would without a root
+    kernel.propagate_root(&mut fuel).expect("unlimited fuel never runs out");
     let mut stats = DratStats::default();
-    for (step, clause) in proof.iter().enumerate() {
-        match kernel.implied(clause.lits(), true, None, &mut fuel, &mut stats) {
-            Implied::Yes => join(&mut kernel, clause, true),
-            Implied::No => {
-                return Err(VerifyError::NotImplied {
-                    step,
-                    clause: clause.clone(),
-                })
-            }
-            Implied::Interrupted(_) => unreachable!("unlimited fuel never runs out"),
-        }
+    let steps = 0..proof.len();
+    match walk_forward(&mut kernel, proof.clauses(), steps, true, terminal, &mut fuel, &mut stats) {
+        Ok(_) => Ok(stats),
+        Err(Stop::NotARefutation) => Err(VerifyError::NotARefutation),
+        Err(Stop::NotImplied { step, clause }) => Err(VerifyError::NotImplied { step, clause }),
+        Err(Stop::Interrupted { .. }) => unreachable!("unlimited fuel never runs out"),
     }
-    Ok((kernel, stats))
 }
 
-/// Stores `clause` and makes it live, with the mark slot that the cones
-/// of [`Kernel::implied`] write.
-fn join(kernel: &mut Kernel<WatchedPropagator>, clause: &Clause, learned: bool) {
-    let r = kernel.db.add_clause(clause.lits(), learned);
-    kernel.marked.push(false);
-    kernel.attach(r);
+/// The forward walk over `kernel`, whose root is made and whose store
+/// ends with the clauses of `proof`. Each step in `steps` is checked —
+/// RUP, or with `rat` RAT on its first literal — against the root and
+/// the steps before it; every step below `steps.end` is attached after
+/// its check, or unchecked below `steps.start` (a resumed walk checked
+/// those before). Then, with `terminal`, the terminal check runs under
+/// the negated target it holds. Returns the number of checks.
+pub(crate) fn walk_forward<P: Propagator>(
+    kernel: &mut Kernel<P>,
+    proof: &[Clause],
+    steps: Range<usize>,
+    rat: bool,
+    terminal: Option<&[Lit]>,
+    fuel: &mut Fuel<'_>,
+    stats: &mut DratStats,
+) -> Result<usize, Stop> {
+    let first = kernel.db.len() - proof.len();
+    for (step, clause) in proof[..steps.end].iter().enumerate() {
+        if step >= steps.start {
+            match kernel.implied(clause.lits(), rat, None, fuel, stats) {
+                Implied::Yes => {}
+                Implied::No => return Err(Stop::NotImplied { step, clause: clause.clone() }),
+                Implied::Interrupted(stopped) => {
+                    let num_checked = step - steps.start;
+                    return Err(Stop::Interrupted { stopped, terminal_done: false, next: step, num_checked });
+                }
+            }
+        }
+        kernel.attach(ClauseRef::from_index(first + step));
+    }
+    let num_checked = steps.len();
+    if let Some(target) = terminal {
+        match kernel.refutes(target, None, fuel) {
+            Ok(true) => {}
+            Ok(false) => return Err(Stop::NotARefutation),
+            Err(stopped) => {
+                let next = proof.len();
+                return Err(Stop::Interrupted { stopped, terminal_done: false, next, num_checked });
+            }
+        }
+    }
+    Ok(num_checked)
 }
 
 #[cfg(test)]

@@ -51,7 +51,7 @@ use crate::harness::{
     atomic_write, formula_fingerprint, marks_from_hex, marks_to_hex,
     CheckpointError, ExhaustReason, FaultPlan, Harness, Progress,
 };
-use crate::kernel::{Check, Implied, Kernel};
+use crate::kernel::{Implied, Kernel};
 use crate::rat::DratStats;
 
 // ---------------------------------------------------------------------
@@ -1171,9 +1171,8 @@ impl<P: Propagator> StreamChecker<P> {
                     if !kernel.marked[r.index()] {
                         continue;
                     }
-                    walk.num_checked += 1;
                     match kernel.implied(&step.lits, true, None, fuel, stats) {
-                        Implied::Yes => {}
+                        Implied::Yes => walk.num_checked += 1,
                         Implied::No => {
                             return Err(StreamOutcome::Rejected {
                                 step: Some(walk.add_no as usize),
@@ -1509,14 +1508,8 @@ fn run_stream<R: Read + Seek, P: Propagator>(
         index.num_vars,
     );
 
-    let mut fuel = Fuel {
-        used_propagations: resume.map_or(0, |c| c.spent_propagations),
-        used_clause_visits: resume.map_or(0, |c| c.spent_clause_visits),
-        max_propagations: harness.budget.max_propagations,
-        max_clause_visits: harness.budget.max_clause_visits,
-        deadline: harness.budget.timeout.map(|t| start + t),
-        cancel: Some(harness.cancel.flag()),
-    };
+    let spent = resume.map_or((0, 0), |c| (c.spent_propagations, c.spent_clause_visits));
+    let mut fuel = harness.fuel(start, spent);
     let mut stats = DratStats::default();
     let mut walk = WalkState {
         step_no: index.cursor_step,
@@ -1543,18 +1536,15 @@ fn run_stream<R: Read + Seek, P: Propagator>(
     // Terminal check: only a fresh run performs it — the existence of a
     // checkpoint implies it already passed.
     if resume.is_none() {
-        match checker.kernel.check(&[], &mut fuel) {
-            Check::Conflict(conflict) => checker.kernel.mark_conflict(conflict, None),
-            Check::Vacuous => unreachable!("no assumptions, no clash"),
-            Check::NoConflict => {
+        match checker.kernel.refutes(&[], None, &mut fuel) {
+            Ok(true) => {}
+            Ok(false) => {
                 return StreamOutcome::Rejected {
                     step: None,
                     error: DratError::NotARefutation,
                 }
             }
-            Check::Interrupted(s) => {
-                return interrupted(s, &walk, &fuel, index.total_adds)
-            }
+            Err(s) => return interrupted(s, &walk, &fuel, index.total_adds),
         }
         if let Some(r) = checker.trailing_empty {
             checker.kernel.marked[r.index()] = true;
@@ -1974,6 +1964,40 @@ mod tests {
             None,
         );
         assert!(matches!(outcome, StreamOutcome::Exhausted { .. }));
+    }
+
+    #[test]
+    fn an_interrupted_check_is_not_counted() {
+        // The XOR square's proof `2`, `-2`, `0`: the terminal check
+        // conflicts on the two units without a propagation, the check of
+        // `-2` takes one and the check of `2` another. So a cap of 0 cuts
+        // short the first check and a cap of 1 the second.
+        let formula = CnfFormula::from_dimacs_clauses(&[
+            vec![1, 2],
+            vec![-1, -2],
+            vec![1, -2],
+            vec![-1, 2],
+        ]);
+        let proof = crate::drat::parse_drat_text(b"2 0\n-2 0\n0\n").expect("parse");
+        let bytes = encode_drat_to_vec(&proof);
+        for (cap, completed) in [(0, 0), (1, 1)] {
+            let harness = Harness::with_budget(Budget::unlimited().max_propagations(cap));
+            match verify_drat_stream_bytes(
+                &formula,
+                &bytes,
+                &harness,
+                &StreamConfig::default(),
+                PropagatorChoice::Watched,
+                None,
+                None,
+            ) {
+                StreamOutcome::Exhausted { progress, .. } => {
+                    assert_eq!(progress.steps_checked, completed, "cap {cap}");
+                    assert_eq!(progress.steps_total, 3);
+                }
+                other => panic!("cap {cap}: expected exhaustion, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -7,10 +7,8 @@
 //! per-check machinery. Reworking it must leave every core, mark,
 //! checked count and counter below where it was. Each case is
 //! summarised as one line and compared with the line recorded before
-//! such a change. The native lines leave out `propagations`, whose
-//! meaning is the one count allowed to change. A streamed line's `peak`
-//! is the residency model's high-water mark, so it moves only with the
-//! model.
+//! such a change. A streamed line's `peak` is the residency model's
+//! high-water mark, so it moves only with the model.
 //!
 //! The cases: solver proofs of five table instances under the default
 //! and a reducing solver configuration, the streaming chain workload,
@@ -58,10 +56,11 @@ const ENGINES: [(PropagatorChoice, &str); 2] = [
 
 fn native_line(v: &Verification) -> String {
     format!(
-        "core {} marked {:016x} checked {} visits {}",
+        "core {} marked {:016x} checked {} props {} visits {}",
         core_digest(v.core.indices()),
         bits(&v.marked_steps),
         v.report.num_checked,
+        v.report.propagations,
         v.report.clause_visits,
     )
 }
@@ -496,35 +495,35 @@ const EXPECTED: &[(&str, &str)] = &[
     ("annotated older copy deleted", "core 4/898f7e1ce6964921 marked d0a6fd18672a1435 checked 2"),
     ("annotated repeated literal", "core 4/64dbcbc3ab5bf1a5 marked 08328707b4eb6e3a checked 1"),
     ("bmc_cnt8_40 default annotated", "core 1474/3013ee8e1e34672f marked 83b03f8a12a52db9 checked 360"),
-    ("bmc_cnt8_40 default native all_forward arena", "core 1919/b6a3962f55e8c159 marked 527fdf7385a5beb1 checked 568 visits 109065"),
-    ("bmc_cnt8_40 default native all_forward watched", "core 1919/b6a3962f55e8c159 marked 527fdf7385a5beb1 checked 568 visits 109065"),
-    ("bmc_cnt8_40 default native harnessed arena", "core 1462/334bcffda220d8bc marked 876a621896525acf checked 364 visits 69284"),
-    ("bmc_cnt8_40 default native harnessed watched", "core 1462/334bcffda220d8bc marked 876a621896525acf checked 364 visits 69284"),
-    ("bmc_cnt8_40 default native implication arena", "core 1462/334bcffda220d8bc marked 876a61189652591c checked 365 visits 69284"),
-    ("bmc_cnt8_40 default native implication watched", "core 1462/334bcffda220d8bc marked 876a61189652591c checked 365 visits 69284"),
-    ("bmc_cnt8_40 default native parallel2 arena", "core 1923/4646db21744e0265 marked 604dbbfb8c851c0b checked 568 visits 110370"),
-    ("bmc_cnt8_40 default native parallel2 watched", "core 1923/4646db21744e0265 marked 604dbbfb8c851c0b checked 568 visits 110370"),
-    ("bmc_cnt8_40 default native verify arena", "core 1462/334bcffda220d8bc marked 876a621896525acf checked 364 visits 69284"),
-    ("bmc_cnt8_40 default native verify watched", "core 1462/334bcffda220d8bc marked 876a621896525acf checked 364 visits 69284"),
-    ("bmc_cnt8_40 default native verify_all arena", "core 1923/4646db21744e0265 marked 604dbbfb8c851c0b checked 568 visits 108928"),
-    ("bmc_cnt8_40 default native verify_all watched", "core 1923/4646db21744e0265 marked 604dbbfb8c851c0b checked 568 visits 108928"),
+    ("bmc_cnt8_40 default native all_forward arena", "core 1919/b6a3962f55e8c159 marked 527fdf7385a5beb1 checked 568 props 83665 visits 109065"),
+    ("bmc_cnt8_40 default native all_forward watched", "core 1919/b6a3962f55e8c159 marked 527fdf7385a5beb1 checked 568 props 83665 visits 109065"),
+    ("bmc_cnt8_40 default native harnessed arena", "core 1462/334bcffda220d8bc marked 876a621896525acf checked 364 props 52417 visits 69284"),
+    ("bmc_cnt8_40 default native harnessed watched", "core 1462/334bcffda220d8bc marked 876a621896525acf checked 364 props 52417 visits 69284"),
+    ("bmc_cnt8_40 default native implication arena", "core 1462/334bcffda220d8bc marked 876a61189652591c checked 365 props 52417 visits 69284"),
+    ("bmc_cnt8_40 default native implication watched", "core 1462/334bcffda220d8bc marked 876a61189652591c checked 365 props 52417 visits 69284"),
+    ("bmc_cnt8_40 default native parallel2 arena", "core 1923/4646db21744e0265 marked 604dbbfb8c851c0b checked 568 props 83918 visits 110370"),
+    ("bmc_cnt8_40 default native parallel2 watched", "core 1923/4646db21744e0265 marked 604dbbfb8c851c0b checked 568 props 83918 visits 110370"),
+    ("bmc_cnt8_40 default native verify arena", "core 1462/334bcffda220d8bc marked 876a621896525acf checked 364 props 52417 visits 69284"),
+    ("bmc_cnt8_40 default native verify watched", "core 1462/334bcffda220d8bc marked 876a621896525acf checked 364 props 52417 visits 69284"),
+    ("bmc_cnt8_40 default native verify_all arena", "core 1923/4646db21744e0265 marked 604dbbfb8c851c0b checked 568 props 83615 visits 108928"),
+    ("bmc_cnt8_40 default native verify_all watched", "core 1923/4646db21744e0265 marked 604dbbfb8c851c0b checked 568 props 83615 visits 108928"),
     ("bmc_cnt8_40 default stream1m arena", "core 1474/3013ee8e1e34672f checked 360 rup 360 rat 0 resolvents 0 props 80027 visits 96941 windows 1 shrinks 0 rebuilds 0 peak 910632"),
     ("bmc_cnt8_40 default stream1m watched", "core 1474/3013ee8e1e34672f checked 360 rup 360 rat 0 resolvents 0 props 80027 visits 96941 windows 1 shrinks 0 rebuilds 0 peak 872536"),
     ("bmc_cnt8_40 default stream64m arena", "core 1474/3013ee8e1e34672f checked 360 rup 360 rat 0 resolvents 0 props 80027 visits 96941 windows 1 shrinks 0 rebuilds 0 peak 910632"),
     ("bmc_cnt8_40 default stream64m watched", "core 1474/3013ee8e1e34672f checked 360 rup 360 rat 0 resolvents 0 props 80027 visits 96941 windows 1 shrinks 0 rebuilds 0 peak 872536"),
     ("bmc_cnt8_40 reducing annotated", "core 1285/7e4c1c1e3ca8f758 marked d11bad3215463042 checked 335"),
-    ("bmc_cnt8_40 reducing native all_forward arena", "core 2095/7ad6985a805acfd2 marked 218011ed03dd69c2 checked 1106 visits 240963"),
-    ("bmc_cnt8_40 reducing native all_forward watched", "core 2095/7ad6985a805acfd2 marked 218011ed03dd69c2 checked 1106 visits 240963"),
-    ("bmc_cnt8_40 reducing native harnessed arena", "core 1632/5afadd4105544cf0 marked 51cd47ccd02b4a4d checked 590 visits 112066"),
-    ("bmc_cnt8_40 reducing native harnessed watched", "core 1632/5afadd4105544cf0 marked 51cd47ccd02b4a4d checked 590 visits 112066"),
-    ("bmc_cnt8_40 reducing native implication arena", "core 1632/5afadd4105544cf0 marked 51cd46ccd02b489a checked 591 visits 112066"),
-    ("bmc_cnt8_40 reducing native implication watched", "core 1632/5afadd4105544cf0 marked 51cd46ccd02b489a checked 591 visits 112066"),
-    ("bmc_cnt8_40 reducing native parallel2 arena", "core 2099/b60fd4237942e476 marked b5470e46f35894a1 checked 1106 visits 245203"),
-    ("bmc_cnt8_40 reducing native parallel2 watched", "core 2099/b60fd4237942e476 marked b5470e46f35894a1 checked 1106 visits 245203"),
-    ("bmc_cnt8_40 reducing native verify arena", "core 1632/5afadd4105544cf0 marked 51cd47ccd02b4a4d checked 590 visits 112066"),
-    ("bmc_cnt8_40 reducing native verify watched", "core 1632/5afadd4105544cf0 marked 51cd47ccd02b4a4d checked 590 visits 112066"),
-    ("bmc_cnt8_40 reducing native verify_all arena", "core 2099/b60fd4237942e476 marked 90c0865d457fa1ec checked 1106 visits 242776"),
-    ("bmc_cnt8_40 reducing native verify_all watched", "core 2099/b60fd4237942e476 marked 90c0865d457fa1ec checked 1106 visits 242776"),
+    ("bmc_cnt8_40 reducing native all_forward arena", "core 2095/7ad6985a805acfd2 marked 218011ed03dd69c2 checked 1106 props 160647 visits 240963"),
+    ("bmc_cnt8_40 reducing native all_forward watched", "core 2095/7ad6985a805acfd2 marked 218011ed03dd69c2 checked 1106 props 160647 visits 240963"),
+    ("bmc_cnt8_40 reducing native harnessed arena", "core 1632/5afadd4105544cf0 marked 51cd47ccd02b4a4d checked 590 props 75743 visits 112066"),
+    ("bmc_cnt8_40 reducing native harnessed watched", "core 1632/5afadd4105544cf0 marked 51cd47ccd02b4a4d checked 590 props 75743 visits 112066"),
+    ("bmc_cnt8_40 reducing native implication arena", "core 1632/5afadd4105544cf0 marked 51cd46ccd02b489a checked 591 props 75743 visits 112066"),
+    ("bmc_cnt8_40 reducing native implication watched", "core 1632/5afadd4105544cf0 marked 51cd46ccd02b489a checked 591 props 75743 visits 112066"),
+    ("bmc_cnt8_40 reducing native parallel2 arena", "core 2099/b60fd4237942e476 marked b5470e46f35894a1 checked 1106 props 160554 visits 245203"),
+    ("bmc_cnt8_40 reducing native parallel2 watched", "core 2099/b60fd4237942e476 marked b5470e46f35894a1 checked 1106 props 160554 visits 245203"),
+    ("bmc_cnt8_40 reducing native verify arena", "core 1632/5afadd4105544cf0 marked 51cd47ccd02b4a4d checked 590 props 75743 visits 112066"),
+    ("bmc_cnt8_40 reducing native verify watched", "core 1632/5afadd4105544cf0 marked 51cd47ccd02b4a4d checked 590 props 75743 visits 112066"),
+    ("bmc_cnt8_40 reducing native verify_all arena", "core 2099/b60fd4237942e476 marked 90c0865d457fa1ec checked 1106 props 160239 visits 242776"),
+    ("bmc_cnt8_40 reducing native verify_all watched", "core 2099/b60fd4237942e476 marked 90c0865d457fa1ec checked 1106 props 160239 visits 242776"),
     ("bmc_cnt8_40 reducing stream1m arena", "core 1285/7e4c1c1e3ca8f758 checked 335 rup 335 rat 0 resolvents 0 props 56894 visits 70192 windows 5 shrinks 1 rebuilds 1 peak 970528"),
     ("bmc_cnt8_40 reducing stream1m watched", "core 1285/7e4c1c1e3ca8f758 checked 335 rup 335 rat 0 resolvents 0 props 56894 visits 70167 windows 5 shrinks 1 rebuilds 0 peak 929328"),
     ("bmc_cnt8_40 reducing stream64m arena", "core 1285/7e4c1c1e3ca8f758 checked 335 rup 335 rat 0 resolvents 0 props 56894 visits 70167 windows 1 shrinks 0 rebuilds 0 peak 1891648"),
@@ -547,137 +546,137 @@ const EXPECTED: &[(&str, &str)] = &[
     ("chain2000 stream64m arena", "core 4/64dbcbc3ab5bf1a5 checked 4002 rup 2003 rat 1999 resolvents 0 props 6006 visits 2010 windows 1 shrinks 0 rebuilds 0 peak 673648"),
     ("chain2000 stream64m watched", "core 4/64dbcbc3ab5bf1a5 checked 4002 rup 2003 rat 1999 resolvents 0 props 6006 visits 2010 windows 1 shrinks 0 rebuilds 0 peak 673584"),
     ("eqv_shift16 default annotated", "core 2084/52ed9f5719972507 marked 623cf5dee98d3bff checked 304"),
-    ("eqv_shift16 default native all_forward arena", "core 2077/54aaed2fa630b6f0 marked 1f95ab9f1a7f6545 checked 320 visits 143413"),
-    ("eqv_shift16 default native all_forward watched", "core 2077/54aaed2fa630b6f0 marked 1f95ab9f1a7f6545 checked 320 visits 143413"),
-    ("eqv_shift16 default native harnessed arena", "core 2077/54aaed2fa630b6f0 marked 623cf5dee98d3bff checked 304 visits 137421"),
-    ("eqv_shift16 default native harnessed watched", "core 2077/54aaed2fa630b6f0 marked 623cf5dee98d3bff checked 304 visits 137421"),
-    ("eqv_shift16 default native implication arena", "core 2077/54aaed2fa630b6f0 marked 623cf4dee98d3a4c checked 305 visits 137421"),
-    ("eqv_shift16 default native implication watched", "core 2077/54aaed2fa630b6f0 marked 623cf4dee98d3a4c checked 305 visits 137421"),
-    ("eqv_shift16 default native parallel2 arena", "core 2077/54aaed2fa630b6f0 marked 1f95ab9f1a7f6545 checked 320 visits 145442"),
-    ("eqv_shift16 default native parallel2 watched", "core 2077/54aaed2fa630b6f0 marked 1f95ab9f1a7f6545 checked 320 visits 145442"),
-    ("eqv_shift16 default native verify arena", "core 2077/54aaed2fa630b6f0 marked 623cf5dee98d3bff checked 304 visits 137421"),
-    ("eqv_shift16 default native verify watched", "core 2077/54aaed2fa630b6f0 marked 623cf5dee98d3bff checked 304 visits 137421"),
-    ("eqv_shift16 default native verify_all arena", "core 2077/54aaed2fa630b6f0 marked 1f95ab9f1a7f6545 checked 320 visits 143820"),
-    ("eqv_shift16 default native verify_all watched", "core 2077/54aaed2fa630b6f0 marked 1f95ab9f1a7f6545 checked 320 visits 143820"),
+    ("eqv_shift16 default native all_forward arena", "core 2077/54aaed2fa630b6f0 marked 1f95ab9f1a7f6545 checked 320 props 128062 visits 143413"),
+    ("eqv_shift16 default native all_forward watched", "core 2077/54aaed2fa630b6f0 marked 1f95ab9f1a7f6545 checked 320 props 128062 visits 143413"),
+    ("eqv_shift16 default native harnessed arena", "core 2077/54aaed2fa630b6f0 marked 623cf5dee98d3bff checked 304 props 121893 visits 137421"),
+    ("eqv_shift16 default native harnessed watched", "core 2077/54aaed2fa630b6f0 marked 623cf5dee98d3bff checked 304 props 121893 visits 137421"),
+    ("eqv_shift16 default native implication arena", "core 2077/54aaed2fa630b6f0 marked 623cf4dee98d3a4c checked 305 props 121893 visits 137421"),
+    ("eqv_shift16 default native implication watched", "core 2077/54aaed2fa630b6f0 marked 623cf4dee98d3a4c checked 305 props 121893 visits 137421"),
+    ("eqv_shift16 default native parallel2 arena", "core 2077/54aaed2fa630b6f0 marked 1f95ab9f1a7f6545 checked 320 props 128028 visits 145442"),
+    ("eqv_shift16 default native parallel2 watched", "core 2077/54aaed2fa630b6f0 marked 1f95ab9f1a7f6545 checked 320 props 128028 visits 145442"),
+    ("eqv_shift16 default native verify arena", "core 2077/54aaed2fa630b6f0 marked 623cf5dee98d3bff checked 304 props 121893 visits 137421"),
+    ("eqv_shift16 default native verify watched", "core 2077/54aaed2fa630b6f0 marked 623cf5dee98d3bff checked 304 props 121893 visits 137421"),
+    ("eqv_shift16 default native verify_all arena", "core 2077/54aaed2fa630b6f0 marked 1f95ab9f1a7f6545 checked 320 props 127749 visits 143820"),
+    ("eqv_shift16 default native verify_all watched", "core 2077/54aaed2fa630b6f0 marked 1f95ab9f1a7f6545 checked 320 props 127749 visits 143820"),
     ("eqv_shift16 default stream1m arena", "core 2084/52ed9f5719972507 checked 304 rup 304 rat 0 resolvents 0 props 163710 visits 178461 windows 1 shrinks 0 rebuilds 0 peak 627904"),
     ("eqv_shift16 default stream1m watched", "core 2084/52ed9f5719972507 checked 304 rup 304 rat 0 resolvents 0 props 163710 visits 178461 windows 1 shrinks 0 rebuilds 0 peak 604856"),
     ("eqv_shift16 default stream64m arena", "core 2084/52ed9f5719972507 checked 304 rup 304 rat 0 resolvents 0 props 163710 visits 178461 windows 1 shrinks 0 rebuilds 0 peak 627904"),
     ("eqv_shift16 default stream64m watched", "core 2084/52ed9f5719972507 checked 304 rup 304 rat 0 resolvents 0 props 163710 visits 178461 windows 1 shrinks 0 rebuilds 0 peak 604856"),
     ("eqv_shift16 reducing annotated", "core 2079/9e7858be2122a07e marked 797a0a9491a84fc0 checked 325"),
-    ("eqv_shift16 reducing native all_forward arena", "core 2094/b64c1c510b50c06b marked 380df1201b214fe6 checked 523 visits 215917"),
-    ("eqv_shift16 reducing native all_forward watched", "core 2094/b64c1c510b50c06b marked 380df1201b214fe6 checked 523 visits 215917"),
-    ("eqv_shift16 reducing native harnessed arena", "core 2091/11ec89f76bd05035 marked b8d97073e14a9bc9 checked 400 visits 179785"),
-    ("eqv_shift16 reducing native harnessed watched", "core 2091/11ec89f76bd05035 marked b8d97073e14a9bc9 checked 400 visits 179785"),
-    ("eqv_shift16 reducing native implication arena", "core 2091/11ec89f76bd05035 marked b8d96f73e14a9a16 checked 401 visits 179785"),
-    ("eqv_shift16 reducing native implication watched", "core 2091/11ec89f76bd05035 marked b8d96f73e14a9a16 checked 401 visits 179785"),
-    ("eqv_shift16 reducing native parallel2 arena", "core 2093/22ea95c484c67efa marked 89d4eb1f717e6e2e checked 523 visits 219286"),
-    ("eqv_shift16 reducing native parallel2 watched", "core 2093/22ea95c484c67efa marked 89d4eb1f717e6e2e checked 523 visits 219286"),
-    ("eqv_shift16 reducing native verify arena", "core 2091/11ec89f76bd05035 marked b8d97073e14a9bc9 checked 400 visits 179785"),
-    ("eqv_shift16 reducing native verify watched", "core 2091/11ec89f76bd05035 marked b8d97073e14a9bc9 checked 400 visits 179785"),
-    ("eqv_shift16 reducing native verify_all arena", "core 2093/22ea95c484c67efa marked b28a7c847562b48b checked 523 visits 217413"),
-    ("eqv_shift16 reducing native verify_all watched", "core 2093/22ea95c484c67efa marked b28a7c847562b48b checked 523 visits 217413"),
+    ("eqv_shift16 reducing native all_forward arena", "core 2094/b64c1c510b50c06b marked 380df1201b214fe6 checked 523 props 182753 visits 215917"),
+    ("eqv_shift16 reducing native all_forward watched", "core 2094/b64c1c510b50c06b marked 380df1201b214fe6 checked 523 props 182753 visits 215917"),
+    ("eqv_shift16 reducing native harnessed arena", "core 2091/11ec89f76bd05035 marked b8d97073e14a9bc9 checked 400 props 151995 visits 179785"),
+    ("eqv_shift16 reducing native harnessed watched", "core 2091/11ec89f76bd05035 marked b8d97073e14a9bc9 checked 400 props 151995 visits 179785"),
+    ("eqv_shift16 reducing native implication arena", "core 2091/11ec89f76bd05035 marked b8d96f73e14a9a16 checked 401 props 151995 visits 179785"),
+    ("eqv_shift16 reducing native implication watched", "core 2091/11ec89f76bd05035 marked b8d96f73e14a9a16 checked 401 props 151995 visits 179785"),
+    ("eqv_shift16 reducing native parallel2 arena", "core 2093/22ea95c484c67efa marked 89d4eb1f717e6e2e checked 523 props 182535 visits 219286"),
+    ("eqv_shift16 reducing native parallel2 watched", "core 2093/22ea95c484c67efa marked 89d4eb1f717e6e2e checked 523 props 182535 visits 219286"),
+    ("eqv_shift16 reducing native verify arena", "core 2091/11ec89f76bd05035 marked b8d97073e14a9bc9 checked 400 props 151995 visits 179785"),
+    ("eqv_shift16 reducing native verify watched", "core 2091/11ec89f76bd05035 marked b8d97073e14a9bc9 checked 400 props 151995 visits 179785"),
+    ("eqv_shift16 reducing native verify_all arena", "core 2093/22ea95c484c67efa marked b28a7c847562b48b checked 523 props 182203 visits 217413"),
+    ("eqv_shift16 reducing native verify_all watched", "core 2093/22ea95c484c67efa marked b28a7c847562b48b checked 523 props 182203 visits 217413"),
     ("eqv_shift16 reducing stream1m arena", "core 2079/9e7858be2122a07e checked 325 rup 325 rat 0 resolvents 0 props 176124 visits 188773 windows 3 shrinks 1 rebuilds 1 peak 662800"),
     ("eqv_shift16 reducing stream1m watched", "core 2079/9e7858be2122a07e checked 325 rup 325 rat 0 resolvents 0 props 176125 visits 188892 windows 1 shrinks 0 rebuilds 0 peak 1027448"),
     ("eqv_shift16 reducing stream64m arena", "core 2079/9e7858be2122a07e checked 325 rup 325 rat 0 resolvents 0 props 176125 visits 188892 windows 1 shrinks 0 rebuilds 0 peak 1048688"),
     ("eqv_shift16 reducing stream64m watched", "core 2079/9e7858be2122a07e checked 325 rup 325 rat 0 resolvents 0 props 176125 visits 188892 windows 1 shrinks 0 rebuilds 0 peak 1027448"),
     ("eqv_shift32 default annotated", "core 6967/a0c9af6f4a8c4f62 marked 7eee4fc4fa594d72 checked 1177"),
-    ("eqv_shift32 default native all_forward arena", "core 6937/a511c5d0d144868c marked d10600c7c911cd1f checked 1239 visits 1694536"),
-    ("eqv_shift32 default native all_forward watched", "core 6937/a511c5d0d144868c marked d10600c7c911cd1f checked 1239 visits 1694536"),
-    ("eqv_shift32 default native harnessed arena", "core 6937/a511c5d0d144868c marked 7eee4fc4fa594d72 checked 1177 visits 1606248"),
-    ("eqv_shift32 default native harnessed watched", "core 6937/a511c5d0d144868c marked 7eee4fc4fa594d72 checked 1177 visits 1606248"),
-    ("eqv_shift32 default native implication arena", "core 6937/a511c5d0d144868c marked 7eee50c4fa594f25 checked 1178 visits 1606248"),
-    ("eqv_shift32 default native implication watched", "core 6937/a511c5d0d144868c marked 7eee50c4fa594f25 checked 1178 visits 1606248"),
-    ("eqv_shift32 default native parallel2 arena", "core 6937/a511c5d0d144868c marked d10600c7c911cd1f checked 1239 visits 1708016"),
-    ("eqv_shift32 default native parallel2 watched", "core 6937/a511c5d0d144868c marked d10600c7c911cd1f checked 1239 visits 1708016"),
-    ("eqv_shift32 default native verify arena", "core 6937/a511c5d0d144868c marked 7eee4fc4fa594d72 checked 1177 visits 1606248"),
-    ("eqv_shift32 default native verify watched", "core 6937/a511c5d0d144868c marked 7eee4fc4fa594d72 checked 1177 visits 1606248"),
-    ("eqv_shift32 default native verify_all arena", "core 6937/a511c5d0d144868c marked d10600c7c911cd1f checked 1239 visits 1702336"),
-    ("eqv_shift32 default native verify_all watched", "core 6937/a511c5d0d144868c marked d10600c7c911cd1f checked 1239 visits 1702336"),
+    ("eqv_shift32 default native all_forward arena", "core 6937/a511c5d0d144868c marked d10600c7c911cd1f checked 1239 props 1630265 visits 1694536"),
+    ("eqv_shift32 default native all_forward watched", "core 6937/a511c5d0d144868c marked d10600c7c911cd1f checked 1239 props 1630265 visits 1694536"),
+    ("eqv_shift32 default native harnessed arena", "core 6937/a511c5d0d144868c marked 7eee4fc4fa594d72 checked 1177 props 1534452 visits 1606248"),
+    ("eqv_shift32 default native harnessed watched", "core 6937/a511c5d0d144868c marked 7eee4fc4fa594d72 checked 1177 props 1534452 visits 1606248"),
+    ("eqv_shift32 default native implication arena", "core 6937/a511c5d0d144868c marked 7eee50c4fa594f25 checked 1178 props 1534452 visits 1606248"),
+    ("eqv_shift32 default native implication watched", "core 6937/a511c5d0d144868c marked 7eee50c4fa594f25 checked 1178 props 1534452 visits 1606248"),
+    ("eqv_shift32 default native parallel2 arena", "core 6937/a511c5d0d144868c marked d10600c7c911cd1f checked 1239 props 1631301 visits 1708016"),
+    ("eqv_shift32 default native parallel2 watched", "core 6937/a511c5d0d144868c marked d10600c7c911cd1f checked 1239 props 1631301 visits 1708016"),
+    ("eqv_shift32 default native verify arena", "core 6937/a511c5d0d144868c marked 7eee4fc4fa594d72 checked 1177 props 1534452 visits 1606248"),
+    ("eqv_shift32 default native verify watched", "core 6937/a511c5d0d144868c marked 7eee4fc4fa594d72 checked 1177 props 1534452 visits 1606248"),
+    ("eqv_shift32 default native verify_all arena", "core 6937/a511c5d0d144868c marked d10600c7c911cd1f checked 1239 props 1630285 visits 1702336"),
+    ("eqv_shift32 default native verify_all watched", "core 6937/a511c5d0d144868c marked d10600c7c911cd1f checked 1239 props 1630285 visits 1702336"),
     ("eqv_shift32 default stream1m arena", "exhausted Memory checked 0/1240 props 2569 visits 4252 checkpointed false"),
     ("eqv_shift32 default stream1m watched", "exhausted Memory checked 0/1240 props 2569 visits 4252 checkpointed false"),
     ("eqv_shift32 default stream64m arena", "core 6967/a0c9af6f4a8c4f62 checked 1177 rup 1177 rat 0 resolvents 0 props 2153724 visits 2225168 windows 1 shrinks 0 rebuilds 0 peak 3744928"),
     ("eqv_shift32 default stream64m watched", "core 6967/a0c9af6f4a8c4f62 checked 1177 rup 1177 rat 0 resolvents 0 props 2153724 visits 2225168 windows 1 shrinks 0 rebuilds 0 peak 3665632"),
     ("eqv_shift32 reducing annotated", "core 6959/fe7fe7507a1b9d6c marked 4c0bfb8004eb0392 checked 1243"),
-    ("eqv_shift32 reducing native all_forward arena", "core 6965/6da24946336b677b marked d6ed36e8f914cfe0 checked 2197 visits 2337117"),
-    ("eqv_shift32 reducing native all_forward watched", "core 6965/6da24946336b677b marked d6ed36e8f914cfe0 checked 2197 visits 2337117"),
-    ("eqv_shift32 reducing native harnessed arena", "core 6969/aa5ef2db7de7e93f marked 6ea8e305370bf6c1 checked 1500 visits 1918897"),
-    ("eqv_shift32 reducing native harnessed watched", "core 6969/aa5ef2db7de7e93f marked 6ea8e305370bf6c1 checked 1500 visits 1918897"),
-    ("eqv_shift32 reducing native implication arena", "core 6969/aa5ef2db7de7e93f marked 6ea8e205370bf50e checked 1501 visits 1918897"),
-    ("eqv_shift32 reducing native implication watched", "core 6969/aa5ef2db7de7e93f marked 6ea8e205370bf50e checked 1501 visits 1918897"),
-    ("eqv_shift32 reducing native parallel2 arena", "core 6969/aa5ef2db7de7e93f marked 6baf6692e7bfc230 checked 2197 visits 2358452"),
-    ("eqv_shift32 reducing native parallel2 watched", "core 6969/aa5ef2db7de7e93f marked 6baf6692e7bfc230 checked 2197 visits 2358452"),
-    ("eqv_shift32 reducing native verify arena", "core 6969/aa5ef2db7de7e93f marked 6ea8e305370bf6c1 checked 1500 visits 1918897"),
-    ("eqv_shift32 reducing native verify watched", "core 6969/aa5ef2db7de7e93f marked 6ea8e305370bf6c1 checked 1500 visits 1918897"),
-    ("eqv_shift32 reducing native verify_all arena", "core 6969/aa5ef2db7de7e93f marked b569c50cc6b58d20 checked 2197 visits 2348639"),
-    ("eqv_shift32 reducing native verify_all watched", "core 6969/aa5ef2db7de7e93f marked b569c50cc6b58d20 checked 2197 visits 2348639"),
+    ("eqv_shift32 reducing native all_forward arena", "core 6965/6da24946336b677b marked d6ed36e8f914cfe0 checked 2197 props 2098926 visits 2337117"),
+    ("eqv_shift32 reducing native all_forward watched", "core 6965/6da24946336b677b marked d6ed36e8f914cfe0 checked 2197 props 2098926 visits 2337117"),
+    ("eqv_shift32 reducing native harnessed arena", "core 6969/aa5ef2db7de7e93f marked 6ea8e305370bf6c1 checked 1500 props 1764821 visits 1918897"),
+    ("eqv_shift32 reducing native harnessed watched", "core 6969/aa5ef2db7de7e93f marked 6ea8e305370bf6c1 checked 1500 props 1764821 visits 1918897"),
+    ("eqv_shift32 reducing native implication arena", "core 6969/aa5ef2db7de7e93f marked 6ea8e205370bf50e checked 1501 props 1764821 visits 1918897"),
+    ("eqv_shift32 reducing native implication watched", "core 6969/aa5ef2db7de7e93f marked 6ea8e205370bf50e checked 1501 props 1764821 visits 1918897"),
+    ("eqv_shift32 reducing native parallel2 arena", "core 6969/aa5ef2db7de7e93f marked 6baf6692e7bfc230 checked 2197 props 2100565 visits 2358452"),
+    ("eqv_shift32 reducing native parallel2 watched", "core 6969/aa5ef2db7de7e93f marked 6baf6692e7bfc230 checked 2197 props 2100565 visits 2358452"),
+    ("eqv_shift32 reducing native verify arena", "core 6969/aa5ef2db7de7e93f marked 6ea8e305370bf6c1 checked 1500 props 1764821 visits 1918897"),
+    ("eqv_shift32 reducing native verify watched", "core 6969/aa5ef2db7de7e93f marked 6ea8e305370bf6c1 checked 1500 props 1764821 visits 1918897"),
+    ("eqv_shift32 reducing native verify_all arena", "core 6969/aa5ef2db7de7e93f marked b569c50cc6b58d20 checked 2197 props 2099015 visits 2348639"),
+    ("eqv_shift32 reducing native verify_all watched", "core 6969/aa5ef2db7de7e93f marked b569c50cc6b58d20 checked 2197 props 2099015 visits 2348639"),
     ("eqv_shift32 reducing stream1m arena", "exhausted Memory checked 0/2198 props 2149 visits 2796 checkpointed false"),
     ("eqv_shift32 reducing stream1m watched", "exhausted Memory checked 44/2198 props 90087 visits 91670 checkpointed false"),
     ("eqv_shift32 reducing stream64m arena", "core 6959/fe7fe7507a1b9d6c checked 1243 rup 1243 rat 0 resolvents 0 props 2240030 visits 2315734 windows 1 shrinks 0 rebuilds 0 peak 6923960"),
     ("eqv_shift32 reducing stream64m watched", "core 6959/fe7fe7507a1b9d6c checked 1243 rup 1243 rat 0 resolvents 0 props 2240030 visits 2315734 windows 1 shrinks 0 rebuilds 0 peak 6853312"),
     ("pebbling24 default annotated", "core 1130/afa3fadf95546df4 marked b83df192176bddd0 checked 3385"),
-    ("pebbling24 default native all_forward arena", "core 1130/afa3fadf95546df4 marked 2ec89b4adc29820a checked 6551 visits 233654"),
-    ("pebbling24 default native all_forward watched", "core 1130/afa3fadf95546df4 marked 2ec89b4adc29820a checked 6551 visits 233654"),
-    ("pebbling24 default native harnessed arena", "core 1130/afa3fadf95546df4 marked 1f0e8e1ea13ff8c1 checked 3414 visits 143535"),
-    ("pebbling24 default native harnessed watched", "core 1130/afa3fadf95546df4 marked 1f0e8e1ea13ff8c1 checked 3414 visits 143535"),
-    ("pebbling24 default native implication arena", "core 1130/afa3fadf95546df4 marked 1f0e8d1ea13ff70e checked 3415 visits 143535"),
-    ("pebbling24 default native implication watched", "core 1130/afa3fadf95546df4 marked 1f0e8d1ea13ff70e checked 3415 visits 143535"),
-    ("pebbling24 default native parallel2 arena", "core 1130/afa3fadf95546df4 marked 1f11edc984bffd84 checked 6551 visits 256747"),
-    ("pebbling24 default native parallel2 watched", "core 1130/afa3fadf95546df4 marked 1f11edc984bffd84 checked 6551 visits 256747"),
-    ("pebbling24 default native verify arena", "core 1130/afa3fadf95546df4 marked 1f0e8e1ea13ff8c1 checked 3414 visits 143535"),
-    ("pebbling24 default native verify watched", "core 1130/afa3fadf95546df4 marked 1f0e8e1ea13ff8c1 checked 3414 visits 143535"),
-    ("pebbling24 default native verify_all arena", "core 1130/afa3fadf95546df4 marked 5ea13889df087bee checked 6551 visits 255174"),
-    ("pebbling24 default native verify_all watched", "core 1130/afa3fadf95546df4 marked 5ea13889df087bee checked 6551 visits 255174"),
+    ("pebbling24 default native all_forward arena", "core 1130/afa3fadf95546df4 marked 2ec89b4adc29820a checked 6551 props 77459 visits 233654"),
+    ("pebbling24 default native all_forward watched", "core 1130/afa3fadf95546df4 marked 2ec89b4adc29820a checked 6551 props 77459 visits 233654"),
+    ("pebbling24 default native harnessed arena", "core 1130/afa3fadf95546df4 marked 1f0e8e1ea13ff8c1 checked 3414 props 30508 visits 143535"),
+    ("pebbling24 default native harnessed watched", "core 1130/afa3fadf95546df4 marked 1f0e8e1ea13ff8c1 checked 3414 props 30508 visits 143535"),
+    ("pebbling24 default native implication arena", "core 1130/afa3fadf95546df4 marked 1f0e8d1ea13ff70e checked 3415 props 30508 visits 143535"),
+    ("pebbling24 default native implication watched", "core 1130/afa3fadf95546df4 marked 1f0e8d1ea13ff70e checked 3415 props 30508 visits 143535"),
+    ("pebbling24 default native parallel2 arena", "core 1130/afa3fadf95546df4 marked 1f11edc984bffd84 checked 6551 props 79231 visits 256747"),
+    ("pebbling24 default native parallel2 watched", "core 1130/afa3fadf95546df4 marked 1f11edc984bffd84 checked 6551 props 79231 visits 256747"),
+    ("pebbling24 default native verify arena", "core 1130/afa3fadf95546df4 marked 1f0e8e1ea13ff8c1 checked 3414 props 30508 visits 143535"),
+    ("pebbling24 default native verify watched", "core 1130/afa3fadf95546df4 marked 1f0e8e1ea13ff8c1 checked 3414 props 30508 visits 143535"),
+    ("pebbling24 default native verify_all arena", "core 1130/afa3fadf95546df4 marked 5ea13889df087bee checked 6551 props 79192 visits 255174"),
+    ("pebbling24 default native verify_all watched", "core 1130/afa3fadf95546df4 marked 5ea13889df087bee checked 6551 props 79192 visits 255174"),
     ("pebbling24 default stream1m arena", "core 1130/afa3fadf95546df4 checked 3388 rup 3388 rat 0 resolvents 0 props 36610 visits 135579 windows 37 shrinks 3 rebuilds 3 peak 1013952"),
     ("pebbling24 default stream1m watched", "core 1130/afa3fadf95546df4 checked 3388 rup 3388 rat 0 resolvents 0 props 36614 visits 135636 windows 36 shrinks 3 rebuilds 2 peak 1047184"),
     ("pebbling24 default stream64m arena", "core 1130/afa3fadf95546df4 checked 3385 rup 3385 rat 0 resolvents 0 props 36646 visits 135907 windows 1 shrinks 0 rebuilds 0 peak 4751352"),
     ("pebbling24 default stream64m watched", "core 1130/afa3fadf95546df4 checked 3385 rup 3385 rat 0 resolvents 0 props 36646 visits 135907 windows 1 shrinks 0 rebuilds 0 peak 4723192"),
     ("pebbling24 reducing annotated", "core 1130/afa3fadf95546df4 marked 7bfa518a3f23a378 checked 2283"),
-    ("pebbling24 reducing native all_forward arena", "core 1130/afa3fadf95546df4 marked 693bd30482f79ddd checked 8495 visits 306972"),
-    ("pebbling24 reducing native all_forward watched", "core 1130/afa3fadf95546df4 marked 693bd30482f79ddd checked 8495 visits 306972"),
-    ("pebbling24 reducing native harnessed arena", "core 1130/afa3fadf95546df4 marked 8b178a14915c7e60 checked 3447 visits 160293"),
-    ("pebbling24 reducing native harnessed watched", "core 1130/afa3fadf95546df4 marked 8b178a14915c7e60 checked 3447 visits 160293"),
-    ("pebbling24 reducing native implication arena", "core 1130/afa3fadf95546df4 marked 8b178b14915c8013 checked 3448 visits 160293"),
-    ("pebbling24 reducing native implication watched", "core 1130/afa3fadf95546df4 marked 8b178b14915c8013 checked 3448 visits 160293"),
-    ("pebbling24 reducing native parallel2 arena", "core 1130/afa3fadf95546df4 marked d37ef9e23175b337 checked 8495 visits 336220"),
-    ("pebbling24 reducing native parallel2 watched", "core 1130/afa3fadf95546df4 marked d37ef9e23175b337 checked 8495 visits 336220"),
-    ("pebbling24 reducing native verify arena", "core 1130/afa3fadf95546df4 marked 8b178a14915c7e60 checked 3447 visits 160293"),
-    ("pebbling24 reducing native verify watched", "core 1130/afa3fadf95546df4 marked 8b178a14915c7e60 checked 3447 visits 160293"),
-    ("pebbling24 reducing native verify_all arena", "core 1130/afa3fadf95546df4 marked 3241f2a808b9901b checked 8495 visits 335146"),
-    ("pebbling24 reducing native verify_all watched", "core 1130/afa3fadf95546df4 marked 3241f2a808b9901b checked 8495 visits 335146"),
+    ("pebbling24 reducing native all_forward arena", "core 1130/afa3fadf95546df4 marked 693bd30482f79ddd checked 8495 props 91011 visits 306972"),
+    ("pebbling24 reducing native all_forward watched", "core 1130/afa3fadf95546df4 marked 693bd30482f79ddd checked 8495 props 91011 visits 306972"),
+    ("pebbling24 reducing native harnessed arena", "core 1130/afa3fadf95546df4 marked 8b178a14915c7e60 checked 3447 props 30163 visits 160293"),
+    ("pebbling24 reducing native harnessed watched", "core 1130/afa3fadf95546df4 marked 8b178a14915c7e60 checked 3447 props 30163 visits 160293"),
+    ("pebbling24 reducing native implication arena", "core 1130/afa3fadf95546df4 marked 8b178b14915c8013 checked 3448 props 30163 visits 160293"),
+    ("pebbling24 reducing native implication watched", "core 1130/afa3fadf95546df4 marked 8b178b14915c8013 checked 3448 props 30163 visits 160293"),
+    ("pebbling24 reducing native parallel2 arena", "core 1130/afa3fadf95546df4 marked d37ef9e23175b337 checked 8495 props 92624 visits 336220"),
+    ("pebbling24 reducing native parallel2 watched", "core 1130/afa3fadf95546df4 marked d37ef9e23175b337 checked 8495 props 92624 visits 336220"),
+    ("pebbling24 reducing native verify arena", "core 1130/afa3fadf95546df4 marked 8b178a14915c7e60 checked 3447 props 30163 visits 160293"),
+    ("pebbling24 reducing native verify watched", "core 1130/afa3fadf95546df4 marked 8b178a14915c7e60 checked 3447 props 30163 visits 160293"),
+    ("pebbling24 reducing native verify_all arena", "core 1130/afa3fadf95546df4 marked 3241f2a808b9901b checked 8495 props 92702 visits 335146"),
+    ("pebbling24 reducing native verify_all watched", "core 1130/afa3fadf95546df4 marked 3241f2a808b9901b checked 8495 props 92702 visits 335146"),
     ("pebbling24 reducing stream1m arena", "core 1130/afa3fadf95546df4 checked 2286 rup 2286 rat 0 resolvents 0 props 23922 visits 56521 windows 10 shrinks 0 rebuilds 5 peak 1046760"),
     ("pebbling24 reducing stream1m watched", "core 1130/afa3fadf95546df4 checked 2286 rup 2286 rat 0 resolvents 0 props 23916 visits 56515 windows 10 shrinks 0 rebuilds 4 peak 1028080"),
     ("pebbling24 reducing stream64m arena", "core 1130/afa3fadf95546df4 checked 2283 rup 2283 rat 0 resolvents 0 props 23910 visits 56469 windows 1 shrinks 0 rebuilds 0 peak 6640096"),
     ("pebbling24 reducing stream64m watched", "core 1130/afa3fadf95546df4 checked 2283 rup 2283 rat 0 resolvents 0 props 23910 visits 56469 windows 1 shrinks 0 rebuilds 0 peak 6628360"),
     ("tseitin4x4 default annotated", "core 128/daae756b97d6bf25 marked 6e80d5505c3d44d3 checked 3580"),
-    ("tseitin4x4 default native all_forward arena", "core 128/daae756b97d6bf25 marked 0b5009bd1af13056 checked 3623 visits 391432"),
-    ("tseitin4x4 default native all_forward watched", "core 128/daae756b97d6bf25 marked 0b5009bd1af13056 checked 3623 visits 391432"),
-    ("tseitin4x4 default native harnessed arena", "core 128/daae756b97d6bf25 marked 6e80d5505c3d44d3 checked 3580 visits 371655"),
-    ("tseitin4x4 default native harnessed watched", "core 128/daae756b97d6bf25 marked 6e80d5505c3d44d3 checked 3580 visits 371655"),
-    ("tseitin4x4 default native implication arena", "core 128/daae756b97d6bf25 marked 6e80d4505c3d4320 checked 3581 visits 371655"),
-    ("tseitin4x4 default native implication watched", "core 128/daae756b97d6bf25 marked 6e80d4505c3d4320 checked 3581 visits 371655"),
-    ("tseitin4x4 default native parallel2 arena", "core 128/daae756b97d6bf25 marked 4d2d4344a4c29fe2 checked 3623 visits 374260"),
-    ("tseitin4x4 default native parallel2 watched", "core 128/daae756b97d6bf25 marked 4d2d4344a4c29fe2 checked 3623 visits 374260"),
-    ("tseitin4x4 default native verify arena", "core 128/daae756b97d6bf25 marked 6e80d5505c3d44d3 checked 3580 visits 371655"),
-    ("tseitin4x4 default native verify watched", "core 128/daae756b97d6bf25 marked 6e80d5505c3d44d3 checked 3580 visits 371655"),
-    ("tseitin4x4 default native verify_all arena", "core 128/daae756b97d6bf25 marked 4d2d4344a4c29fe2 checked 3623 visits 372776"),
-    ("tseitin4x4 default native verify_all watched", "core 128/daae756b97d6bf25 marked 4d2d4344a4c29fe2 checked 3623 visits 372776"),
+    ("tseitin4x4 default native all_forward arena", "core 128/daae756b97d6bf25 marked 0b5009bd1af13056 checked 3623 props 43895 visits 391432"),
+    ("tseitin4x4 default native all_forward watched", "core 128/daae756b97d6bf25 marked 0b5009bd1af13056 checked 3623 props 43895 visits 391432"),
+    ("tseitin4x4 default native harnessed arena", "core 128/daae756b97d6bf25 marked 6e80d5505c3d44d3 checked 3580 props 40967 visits 371655"),
+    ("tseitin4x4 default native harnessed watched", "core 128/daae756b97d6bf25 marked 6e80d5505c3d44d3 checked 3580 props 40967 visits 371655"),
+    ("tseitin4x4 default native implication arena", "core 128/daae756b97d6bf25 marked 6e80d4505c3d4320 checked 3581 props 40967 visits 371655"),
+    ("tseitin4x4 default native implication watched", "core 128/daae756b97d6bf25 marked 6e80d4505c3d4320 checked 3581 props 40967 visits 371655"),
+    ("tseitin4x4 default native parallel2 arena", "core 128/daae756b97d6bf25 marked 4d2d4344a4c29fe2 checked 3623 props 41479 visits 374260"),
+    ("tseitin4x4 default native parallel2 watched", "core 128/daae756b97d6bf25 marked 4d2d4344a4c29fe2 checked 3623 props 41479 visits 374260"),
+    ("tseitin4x4 default native verify arena", "core 128/daae756b97d6bf25 marked 6e80d5505c3d44d3 checked 3580 props 40967 visits 371655"),
+    ("tseitin4x4 default native verify watched", "core 128/daae756b97d6bf25 marked 6e80d5505c3d44d3 checked 3580 props 40967 visits 371655"),
+    ("tseitin4x4 default native verify_all arena", "core 128/daae756b97d6bf25 marked 4d2d4344a4c29fe2 checked 3623 props 41445 visits 372776"),
+    ("tseitin4x4 default native verify_all watched", "core 128/daae756b97d6bf25 marked 4d2d4344a4c29fe2 checked 3623 props 41445 visits 372776"),
     ("tseitin4x4 default stream1m arena", "core 128/daae756b97d6bf25 checked 3576 rup 3576 rat 0 resolvents 0 props 40865 visits 371841 windows 10 shrinks 2 rebuilds 1 peak 895552"),
     ("tseitin4x4 default stream1m watched", "core 128/daae756b97d6bf25 checked 3580 rup 3580 rat 0 resolvents 0 props 40967 visits 371655 windows 10 shrinks 2 rebuilds 0 peak 865536"),
     ("tseitin4x4 default stream64m arena", "core 128/daae756b97d6bf25 checked 3580 rup 3580 rat 0 resolvents 0 props 40967 visits 371655 windows 1 shrinks 0 rebuilds 0 peak 1781608"),
     ("tseitin4x4 default stream64m watched", "core 128/daae756b97d6bf25 checked 3580 rup 3580 rat 0 resolvents 0 props 40967 visits 371655 windows 1 shrinks 0 rebuilds 0 peak 1751592"),
     ("tseitin4x4 reducing annotated", "core 128/daae756b97d6bf25 marked 55e906da73d5944e checked 3915"),
-    ("tseitin4x4 reducing native all_forward arena", "core 128/daae756b97d6bf25 marked 6d433707de847f10 checked 9663 visits 1428102"),
-    ("tseitin4x4 reducing native all_forward watched", "core 128/daae756b97d6bf25 marked 6d433707de847f10 checked 9663 visits 1428102"),
-    ("tseitin4x4 reducing native harnessed arena", "core 128/daae756b97d6bf25 marked 74cf4abf4d53fd5b checked 5512 visits 945649"),
-    ("tseitin4x4 reducing native harnessed watched", "core 128/daae756b97d6bf25 marked 74cf4abf4d53fd5b checked 5512 visits 945649"),
-    ("tseitin4x4 reducing native implication arena", "core 128/daae756b97d6bf25 marked 74cf49bf4d53fba8 checked 5513 visits 945649"),
-    ("tseitin4x4 reducing native implication watched", "core 128/daae756b97d6bf25 marked 74cf49bf4d53fba8 checked 5513 visits 945649"),
-    ("tseitin4x4 reducing native parallel2 arena", "core 128/daae756b97d6bf25 marked 8b85f3c269232f41 checked 9663 visits 1282296"),
-    ("tseitin4x4 reducing native parallel2 watched", "core 128/daae756b97d6bf25 marked 8b85f3c269232f41 checked 9663 visits 1282296"),
-    ("tseitin4x4 reducing native verify arena", "core 128/daae756b97d6bf25 marked 74cf4abf4d53fd5b checked 5512 visits 945649"),
-    ("tseitin4x4 reducing native verify watched", "core 128/daae756b97d6bf25 marked 74cf4abf4d53fd5b checked 5512 visits 945649"),
-    ("tseitin4x4 reducing native verify_all arena", "core 128/daae756b97d6bf25 marked dbf99b84a756aaed checked 9663 visits 1256844"),
-    ("tseitin4x4 reducing native verify_all watched", "core 128/daae756b97d6bf25 marked dbf99b84a756aaed checked 9663 visits 1256844"),
+    ("tseitin4x4 reducing native all_forward arena", "core 128/daae756b97d6bf25 marked 6d433707de847f10 checked 9663 props 60510 visits 1428102"),
+    ("tseitin4x4 reducing native all_forward watched", "core 128/daae756b97d6bf25 marked 6d433707de847f10 checked 9663 props 60510 visits 1428102"),
+    ("tseitin4x4 reducing native harnessed arena", "core 128/daae756b97d6bf25 marked 74cf4abf4d53fd5b checked 5512 props 44229 visits 945649"),
+    ("tseitin4x4 reducing native harnessed watched", "core 128/daae756b97d6bf25 marked 74cf4abf4d53fd5b checked 5512 props 44229 visits 945649"),
+    ("tseitin4x4 reducing native implication arena", "core 128/daae756b97d6bf25 marked 74cf49bf4d53fba8 checked 5513 props 44229 visits 945649"),
+    ("tseitin4x4 reducing native implication watched", "core 128/daae756b97d6bf25 marked 74cf49bf4d53fba8 checked 5513 props 44229 visits 945649"),
+    ("tseitin4x4 reducing native parallel2 arena", "core 128/daae756b97d6bf25 marked 8b85f3c269232f41 checked 9663 props 53947 visits 1282296"),
+    ("tseitin4x4 reducing native parallel2 watched", "core 128/daae756b97d6bf25 marked 8b85f3c269232f41 checked 9663 props 53947 visits 1282296"),
+    ("tseitin4x4 reducing native verify arena", "core 128/daae756b97d6bf25 marked 74cf4abf4d53fd5b checked 5512 props 44229 visits 945649"),
+    ("tseitin4x4 reducing native verify watched", "core 128/daae756b97d6bf25 marked 74cf4abf4d53fd5b checked 5512 props 44229 visits 945649"),
+    ("tseitin4x4 reducing native verify_all arena", "core 128/daae756b97d6bf25 marked dbf99b84a756aaed checked 9663 props 54134 visits 1256844"),
+    ("tseitin4x4 reducing native verify_all watched", "core 128/daae756b97d6bf25 marked dbf99b84a756aaed checked 9663 props 54134 visits 1256844"),
     ("tseitin4x4 reducing stream1m arena", "core 128/daae756b97d6bf25 checked 3915 rup 3915 rat 0 resolvents 0 props 48621 visits 212675 windows 8 shrinks 0 rebuilds 3 peak 1039396"),
     ("tseitin4x4 reducing stream1m watched", "core 128/daae756b97d6bf25 checked 3915 rup 3915 rat 0 resolvents 0 props 48621 visits 212675 windows 8 shrinks 0 rebuilds 3 peak 1021252"),
     ("tseitin4x4 reducing stream64m arena", "core 128/daae756b97d6bf25 checked 3915 rup 3915 rat 0 resolvents 0 props 48621 visits 212692 windows 1 shrinks 0 rebuilds 0 peak 5307368"),
