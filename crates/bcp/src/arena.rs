@@ -1,29 +1,36 @@
-//! Flat clause arena with blocking-literal watches — the BCP hot path
-//! rewritten for raw speed.
+//! Flat clause arena with blocking-literal watches — the propagation
+//! engine every proof check runs on.
 //!
 //! [`ClauseArena`] packs every clause into one contiguous `u32` word
 //! stream: a header word (length, learned flag, garbage flag), a dense
-//! clause-index word, then the literals. Watch entries hold the *arena
-//! offset* of a clause's first literal, so the hot loop goes straight
-//! from a watch entry to the literals with a single indexed load —
-//! no header-table indirection. Each entry also carries a *blocking
-//! literal* (Chaff's optimisation as refined by MiniSat/DRAT-trim): if
-//! the blocker is already true the clause is satisfied and the arena is
-//! never touched at all.
+//! clause-index word, then the literals. A dense per-clause deleted map
+//! beside it answers [`ClauseStore::is_deleted`] with one load. Watch
+//! entries of a clause of three or more literals hold the *arena offset*
+//! of its first literal, so the hot loop goes straight from a watch
+//! entry to the literals with a single indexed load — no header-table
+//! indirection. Each entry also carries a *blocking literal* (Chaff's
+//! optimisation as refined by MiniSat/DRAT-trim): if the blocker is
+//! already true the clause is satisfied and the arena is never touched
+//! at all. A binary clause's two entries hold its dense [`ClauseRef`],
+//! tagged, with the other literal as the blocker: the entry alone says
+//! what the clause implies, so the loop resolves it where it stands and
+//! never reads the arena for it.
 //!
 //! Invariants (see DESIGN.md §"Arena clause storage"):
 //!
 //! * **Handle stability** — [`ClauseRef`]s are dense insertion indices
 //!   and survive everything, *including compaction*; raw offsets live
-//!   only inside watch entries and are remapped by
-//!   [`ArenaWatchedPropagator::compact`].
+//!   only inside the watch entries of longer clauses and are remapped
+//!   by [`ArenaWatchedPropagator::compact`]. Binary entries hold the
+//!   dense ref itself and need no remapping.
 //! * **Blocking-literal invariant** — a watch entry whose blocker is
 //!   true may be *kept without inspecting the clause*, even if the
 //!   clause was deleted meanwhile. This is sound because
 //!   a satisfied clause never propagates, but it means a deletion that
 //!   can later be *undone* must be preceded by an eager
 //!   [`detach`](ArenaWatchedPropagator::detach_clause) — otherwise the
-//!   re-attach could duplicate a kept entry.
+//!   re-attach could duplicate a kept entry. A binary clause's blocker
+//!   is always its other literal.
 //! * **Compaction** — [`ArenaWatchedPropagator::compact`] drops garbage
 //!   clause bodies permanently and remaps live watch offsets; it must
 //!   only run when no deleted clause can ever be undeleted again (the
@@ -46,6 +53,20 @@ const LEN_SHIFT: u32 = 2;
 
 /// Sentinel start offset of a clause whose body was compacted away.
 const GONE: u32 = u32::MAX;
+
+/// Tag of a watch entry that names a binary clause by its dense ref
+/// rather than by an arena offset. Offsets and refs both stay below it.
+const BINARY: u32 = 1 << 31;
+
+/// `n` as an arena offset or clause index, which must stay clear of the
+/// [`BINARY`] tag.
+#[inline]
+fn word_index(n: usize) -> u32 {
+    match u32::try_from(n) {
+        Ok(n) if n < BINARY => n,
+        _ => panic!("arena exceeds {BINARY} words or clauses"),
+    }
+}
 
 /// Encodes a header word. Lengths are bounded far below the `Lit` code
 /// range, so header words round-trip through the literal type and the
@@ -81,6 +102,10 @@ pub struct ClauseArena {
     /// Dense clause index → offset of the clause's *header* word;
     /// [`GONE`] for clauses whose body was compacted away.
     starts: Vec<u32>,
+    /// Dense clause index → deleted. Mirrors the header's garbage bit
+    /// (a compacted-away clause stays deleted), so a lookup by ref costs
+    /// one load instead of two dependent ones.
+    deleted: Vec<bool>,
     num_deleted: usize,
     /// Words occupied by garbage (deleted, not yet compacted) clauses.
     garbage_words: usize,
@@ -99,9 +124,10 @@ impl ClauseArena {
     pub fn from_formula(formula: &CnfFormula) -> Self {
         let mut arena = ClauseArena::new();
         let total: usize = formula.num_lits() + HEADER_WORDS * formula.num_clauses();
-        u32::try_from(total).expect("arena fits in u32");
+        word_index(total);
         arena.words.reserve_exact(total);
         arena.starts.reserve_exact(formula.num_clauses());
+        arena.deleted = vec![false; formula.num_clauses()];
         // capacity is exact, so the pushes below never reallocate
         for lits in formula.lit_slices() {
             let start = arena.words.len() as u32;
@@ -194,7 +220,7 @@ impl ClauseArena {
                 continue;
             }
             let len = (header >> LEN_SHIFT) as usize;
-            let new_start = u32::try_from(packed.len()).expect("arena fits in u32");
+            let new_start = word_index(packed.len());
             packed.extend_from_slice(
                 &self.words[start as usize..start as usize + HEADER_WORDS + len],
             );
@@ -223,13 +249,15 @@ impl ClauseStore for ClauseArena {
     }
 
     fn add_clause(&mut self, lits: &[Lit], learned: bool) -> ClauseRef {
-        let start = u32::try_from(self.words.len()).expect("arena fits in u32");
+        let start = word_index(self.words.len());
         let index = self.starts.len();
         self.words.push(header_word(lits.len(), learned, false));
-        self.words
-            .push(Lit::from_code(u32::try_from(index).expect("index fits in u32")));
+        self.words.push(Lit::from_code(word_index(index)));
         self.words.extend_from_slice(lits);
+        // every offset of the clause stays clear of the tag
+        word_index(self.words.len());
         self.starts.push(start);
+        self.deleted.push(false);
         ClauseRef::from_index(index)
     }
 
@@ -264,16 +292,16 @@ impl ClauseStore for ClauseArena {
 
     #[inline]
     fn is_deleted(&self, r: ClauseRef) -> bool {
-        let start = self.starts[r.index()];
-        start == GONE || self.words[start as usize].code() & GARBAGE_BIT != 0
+        self.deleted[r.index()]
     }
 
     fn delete_clause(&mut self, r: ClauseRef) {
         let start = self.starts[r.index()];
         assert!(start != GONE, "clause {r:?} was compacted away");
-        let header = self.words[start as usize].code();
-        if header & GARBAGE_BIT == 0 {
+        if !self.deleted[r.index()] {
+            let header = self.words[start as usize].code();
             self.words[start as usize] = Lit::from_code(header | GARBAGE_BIT);
+            self.deleted[r.index()] = true;
             self.num_deleted += 1;
             self.garbage_words +=
                 HEADER_WORDS + (header >> LEN_SHIFT) as usize;
@@ -286,9 +314,10 @@ impl ClauseStore for ClauseArena {
             start != GONE,
             "clause {r:?} was compacted away and cannot be undeleted"
         );
-        let header = self.words[start as usize].code();
-        if header & GARBAGE_BIT != 0 {
+        if self.deleted[r.index()] {
+            let header = self.words[start as usize].code();
             self.words[start as usize] = Lit::from_code(header & !GARBAGE_BIT);
+            self.deleted[r.index()] = false;
             self.num_deleted -= 1;
             self.garbage_words -=
                 HEADER_WORDS + (header >> LEN_SHIFT) as usize;
@@ -358,15 +387,28 @@ impl<'a> View<'a> {
     }
 }
 
-/// A watch entry: the arena offset of the clause's first literal plus a
-/// blocking literal.
+/// A watch entry: the clause's key plus a blocking literal.
 #[derive(Clone, Copy, Debug)]
 struct ArenaWatch {
-    /// Offset of the clause's first literal in the arena word stream.
+    /// For a clause of three or more literals, the offset of its first
+    /// literal in the arena word stream; for a binary clause, its dense
+    /// ref tagged with [`BINARY`] (see [`watch_key`]).
     pos: u32,
     /// A literal of the clause other than the watched one; if it is
-    /// already true the clause is satisfied and never loaded.
+    /// already true the clause is satisfied and never loaded. A binary
+    /// clause's blocker is its other literal.
     blocker: Lit,
+}
+
+/// The `pos` of the watch entries of clause `r`, whose first literal
+/// sits at arena offset `lit_pos` and which has `len` literals.
+#[inline]
+fn watch_key(r: ClauseRef, lit_pos: u32, len: usize) -> u32 {
+    if len == 2 {
+        BINARY | r.index() as u32
+    } else {
+        lit_pos
+    }
 }
 
 /// One literal's watch list inside the [`WatchTable`] slab: `cap` slots
@@ -456,7 +498,8 @@ impl WatchTable {
             WatchSpan { start: new_start, len: span.len + 1, cap: new_cap };
     }
 
-    /// Removes every entry of list `idx` whose clause offset is `pos`.
+    /// Removes every entry of list `idx` whose clause key is `pos` (see
+    /// [`watch_key`]).
     fn remove(&mut self, idx: usize, pos: u32) {
         let span = self.spans[idx];
         let start = span.start as usize;
@@ -473,11 +516,13 @@ impl WatchTable {
 }
 
 /// Two-watched-literal BCP over a [`ClauseArena`], with blocking
-/// literals and offset-based watch entries.
+/// literals, offset-based watch entries and binary clauses resolved in
+/// the watch list: the engine every proof check runs on.
 ///
-/// Behaviourally identical to [`WatchedPropagator`](crate::WatchedPropagator)
-/// (the differential property tests in `tests/arena_differential.rs`
-/// assert identical implications and conflict parity); the difference is
+/// Behaviourally identical to [`WatchedPropagator`](crate::WatchedPropagator),
+/// the solver's engine: the differential property tests in
+/// `tests/arena_differential.rs` assert the same trail, reasons, conflict
+/// clause and clause visits after every propagation. The difference is
 /// purely the memory layout of the hot loop.
 ///
 /// # Examples
@@ -563,12 +608,13 @@ impl ArenaWatchedPropagator {
             let len = (header >> LEN_SHIFT) as usize;
             let lit_pos = pos + HEADER_WORDS;
             if header & GARBAGE_BIT == 0 {
+                let r = db.ref_at(lit_pos);
                 match len {
-                    0 => out.empties.push(db.ref_at(lit_pos)),
-                    1 => out.units.push((db.ref_at(lit_pos), db.words[lit_pos])),
+                    0 => out.empties.push(r),
+                    1 => out.units.push((r, db.words[lit_pos])),
                     _ => {
                         let (a, b) = (db.words[lit_pos], db.words[lit_pos + 1]);
-                        let p = lit_pos as u32;
+                        let p = watch_key(r, lit_pos as u32, len);
                         self.watches.push(a.idx(), ArenaWatch { pos: p, blocker: b });
                         self.watches.push(b.idx(), ArenaWatch { pos: p, blocker: a });
                     }
@@ -581,8 +627,8 @@ impl ArenaWatchedPropagator {
 
     /// Compacts the arena and remaps this engine's watch lists to the
     /// rewritten offsets. Watch entries of compacted-away clauses are
-    /// dropped. Dense [`ClauseRef`]s (and therefore recorded reasons and
-    /// external mark bitmaps) are unaffected.
+    /// dropped. Dense [`ClauseRef`]s (and therefore recorded reasons,
+    /// binary watch entries and external mark bitmaps) are unaffected.
     ///
     /// Must not run if any currently deleted clause may later be
     /// undeleted — compaction drops garbage bodies permanently.
@@ -591,12 +637,15 @@ impl ArenaWatchedPropagator {
             return;
         }
         // Pass 1: convert offsets to dense indices while the old word
-        // stream (including garbage records) is still readable.
+        // stream (including garbage records) is still readable. Binary
+        // entries hold a tagged index already.
         for span in &self.watches.spans {
             let start = span.start as usize;
             for k in 0..span.len as usize {
                 let w = &mut self.watches.slab[start + k];
-                w.pos = db.ref_at(w.pos as usize).index() as u32;
+                if w.pos & BINARY == 0 {
+                    w.pos = db.ref_at(w.pos as usize).index() as u32;
+                }
             }
         }
         // Pass 2: rewrite the arena.
@@ -610,8 +659,9 @@ impl ArenaWatchedPropagator {
             let start = span.start as usize;
             for k in 0..span.len as usize {
                 let w = self.watches.slab[start + k];
-                let pos = db.lit_offset(ClauseRef::from_index(w.pos as usize));
-                if pos != GONE {
+                let offset = db.lit_offset(ClauseRef::from_index((w.pos & !BINARY) as usize));
+                if offset != GONE {
+                    let pos = if w.pos & BINARY == 0 { offset } else { w.pos };
                     counts[idx] += 1;
                     survivors.push((idx, ArenaWatch { pos, blocker: w.blocker }));
                 }
@@ -632,7 +682,10 @@ impl ArenaWatchedPropagator {
     }
 
     /// Processes the watch list of `!lit` after `lit` became true: the
-    /// inlined two-watch maintenance loop.
+    /// inlined two-watch maintenance loop. A binary clause's entry is
+    /// resolved where it stands — its blocker is the clause's other
+    /// literal — and still counts as a clause visit, so every trail,
+    /// reason and counter is the one a visit of its body would give.
     fn propagate_lit(&mut self, db: &mut ClauseArena, lit: Lit) -> Option<Conflict> {
         let false_lit = !lit;
         // Index-based scan: watch moves push into *other* lists, which
@@ -656,41 +709,52 @@ impl ArenaWatchedPropagator {
                 kept += 1;
                 continue;
             }
-            let pos = w.pos as usize;
-            let header = db.header_at(pos);
-            if header & GARBAGE_BIT != 0 {
-                continue; // lazy drop of deleted clauses
-            }
-            visits += 1;
-            let len = (header >> LEN_SHIFT) as usize;
-            let lits = db.lits_at_mut(pos, len);
-            if lits[0] == false_lit {
-                lits.swap(0, 1);
-            }
-            debug_assert_eq!(lits[1], false_lit);
-            let first = lits[0];
-            if first != w.blocker && self.assignment.is_true(first) {
+            let (first, cref) = if w.pos & BINARY != 0 {
+                let cref = ClauseRef::from_index((w.pos & !BINARY) as usize);
+                if db.is_deleted(cref) {
+                    continue; // lazy drop of deleted clauses
+                }
+                visits += 1;
+                self.watches.slab[start + kept] = w;
+                (w.blocker, cref)
+            } else {
+                let pos = w.pos as usize;
+                let header = db.header_at(pos);
+                if header & GARBAGE_BIT != 0 {
+                    continue; // lazy drop of deleted clauses
+                }
+                visits += 1;
+                let len = (header >> LEN_SHIFT) as usize;
+                let lits = db.lits_at_mut(pos, len);
+                if lits[0] == false_lit {
+                    lits.swap(0, 1);
+                }
+                debug_assert_eq!(lits[1], false_lit);
+                let first = lits[0];
+                if first != w.blocker && self.assignment.is_true(first) {
+                    self.watches.slab[start + kept] =
+                        ArenaWatch { pos: w.pos, blocker: first };
+                    kept += 1;
+                    continue;
+                }
+                // Find a non-false literal to watch instead.
+                for k in 2..len {
+                    if !self.assignment.is_false(lits[k]) {
+                        lits.swap(1, k);
+                        let new_watch = lits[1];
+                        self.watches
+                            .push(new_watch.idx(), ArenaWatch { pos: w.pos, blocker: first });
+                        continue 'watches;
+                    }
+                }
                 self.watches.slab[start + kept] =
                     ArenaWatch { pos: w.pos, blocker: first };
-                kept += 1;
-                continue;
-            }
-            // Find a non-false literal to watch instead.
-            for k in 2..len {
-                if !self.assignment.is_false(lits[k]) {
-                    lits.swap(1, k);
-                    let new_watch = lits[1];
-                    self.watches
-                        .push(new_watch.idx(), ArenaWatch { pos: w.pos, blocker: first });
-                    continue 'watches;
-                }
-            }
+                (first, db.ref_at(pos))
+            };
             // Unit (first unassigned) or conflicting (first false).
-            self.watches.slab[start + kept] =
-                ArenaWatch { pos: w.pos, blocker: first };
             kept += 1;
             if self.assignment.is_false(first) {
-                conflict = Some(Conflict { clause: db.ref_at(pos) });
+                conflict = Some(Conflict { clause: cref });
                 while i < n {
                     self.watches.slab[start + kept] = self.watches.slab[start + i];
                     kept += 1;
@@ -698,7 +762,6 @@ impl ArenaWatchedPropagator {
                 }
                 break;
             }
-            let cref = db.ref_at(pos);
             self.enqueue(first, Reason::Propagated(cref));
         }
         self.watches.spans[false_lit.idx()].len = kept as u32;
@@ -805,8 +868,9 @@ impl Propagator for ArenaWatchedPropagator {
         match lits.len() {
             0 => Attach::Empty,
             1 => Attach::Unit(lits[0]),
-            _ => {
+            len => {
                 let (a, b) = (lits[0], lits[1]);
+                let pos = watch_key(cref, pos, len);
                 self.watches.push(a.idx(), ArenaWatch { pos, blocker: b });
                 self.watches.push(b.idx(), ArenaWatch { pos, blocker: a });
                 Attach::Watched
@@ -819,7 +883,7 @@ impl Propagator for ArenaWatchedPropagator {
         if lits.len() < 2 {
             return;
         }
-        let pos = db.lit_offset(cref);
+        let pos = watch_key(cref, db.lit_offset(cref), lits.len());
         for &w in &lits[..2] {
             self.watches.remove(w.idx(), pos);
         }

@@ -8,10 +8,11 @@
 //!
 //! * [`WatchedPropagator`](crate::WatchedPropagator) over
 //!   [`ClauseDb`](crate::ClauseDb) — header-table storage, the original
-//!   layout;
+//!   layout and the solver's engine;
 //! * [`ArenaWatchedPropagator`](crate::ArenaWatchedPropagator) over
 //!   [`ClauseArena`](crate::ClauseArena) — flat inline-header storage
-//!   with blocking literals and offset-based watches.
+//!   with blocking literals, offset-based watches and binary watch
+//!   entries: the engine every proof check runs on.
 //!
 //! The counting and head-tail engines stay outside the trait: they do
 //! not record reasons, so they cannot serve the checker's conflict-cone
@@ -24,16 +25,18 @@ use cnf::{Assignment, CnfFormula, LBool, Lit, Var};
 use crate::clause_db::ClauseRef;
 use crate::propagator::{Attach, BudgetedPropagation, Conflict, Fuel, Reason};
 
-/// Which propagation engine a checker should run on — the ablation
-/// switch threaded from the CLI down to the generic checker paths.
+/// Which propagation engine a checker should run on. Every check a
+/// user runs takes the default, the arena engine; callers that compare
+/// the engines (benchmarks, golden tests, ablations) name one.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum PropagatorChoice {
     /// Two-watched-literal engine over header-table storage
-    /// ([`WatchedPropagator`](crate::WatchedPropagator)); the default.
-    #[default]
+    /// ([`WatchedPropagator`](crate::WatchedPropagator)), the solver's.
     Watched,
     /// Two-watched-literal engine with blocking literals over the flat
-    /// clause arena ([`ArenaWatchedPropagator`](crate::ArenaWatchedPropagator)).
+    /// clause arena ([`ArenaWatchedPropagator`](crate::ArenaWatchedPropagator));
+    /// the default.
+    #[default]
     ArenaWatched,
 }
 
@@ -42,20 +45,6 @@ impl std::fmt::Display for PropagatorChoice {
         match self {
             PropagatorChoice::Watched => write!(f, "watched"),
             PropagatorChoice::ArenaWatched => write!(f, "arena"),
-        }
-    }
-}
-
-impl std::str::FromStr for PropagatorChoice {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "watched" => Ok(PropagatorChoice::Watched),
-            "arena" | "arena-watched" => Ok(PropagatorChoice::ArenaWatched),
-            other => Err(format!(
-                "unknown engine {other:?} (expected \"watched\" or \"arena\")"
-            )),
         }
     }
 }
@@ -227,14 +216,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn choice_parses_and_displays() {
-        assert_eq!("watched".parse(), Ok(PropagatorChoice::Watched));
-        assert_eq!("arena".parse(), Ok(PropagatorChoice::ArenaWatched));
-        assert_eq!("arena-watched".parse(), Ok(PropagatorChoice::ArenaWatched));
-        assert!("chaff".parse::<PropagatorChoice>().is_err());
+    fn choice_displays_and_defaults_to_the_arena() {
         assert_eq!(PropagatorChoice::Watched.to_string(), "watched");
         assert_eq!(PropagatorChoice::ArenaWatched.to_string(), "arena");
-        assert_eq!(PropagatorChoice::default(), PropagatorChoice::Watched);
+        assert_eq!(PropagatorChoice::default(), PropagatorChoice::ArenaWatched);
     }
 
     #[test]

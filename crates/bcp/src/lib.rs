@@ -6,10 +6,11 @@
 //!
 //! * [`WatchedPropagator`] — the two-watched-literal scheme of Chaff,
 //!   which the paper's §6 adopts because proof clauses are long and
-//!   watched literals avoid touching them;
+//!   watched literals avoid touching them; the solver's engine;
 //! * [`ArenaWatchedPropagator`] — the same scheme over a flat
-//!   [`ClauseArena`] with blocking literals and offset-based watch
-//!   entries, the raw-speed layout;
+//!   [`ClauseArena`] with blocking literals, offset-based watch entries
+//!   and binary clauses resolved in the watch list: the raw-speed
+//!   layout, and the engine every proof check runs on;
 //! * [`CountingPropagator`] — the classical counter-based scheme, kept as
 //!   the ablation baseline.
 //!
@@ -17,7 +18,8 @@
 //! caller, so the CDCL solver (`cdcl` crate) and the proof checker
 //! (`proofver` crate) can add, delete and undelete clauses between
 //! propagations. The [`ClauseStore`] and [`Propagator`] traits abstract
-//! over the two layouts; [`PropagatorChoice`] is the runtime switch.
+//! over the two layouts; [`PropagatorChoice`] names one for callers
+//! that compare them.
 //!
 //! # Examples
 //!

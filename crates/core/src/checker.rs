@@ -20,13 +20,16 @@
 //!
 //! The checker deliberately shares no search code with the solver: its
 //! only nontrivial machinery is the watched-literal BCP engine, which the
-//! paper argues is "well established" and stable enough to trust.
+//! paper argues is "well established" and stable enough to trust. By
+//! default that is the arena engine ([`bcp::ArenaWatchedPropagator`]),
+//! not the solver's, so a checked proof and the solver that wrote it
+//! share no propagation code either.
 
 use std::ops::Range;
 use std::sync::atomic::AtomicBool;
 use std::time::Instant;
 
-use bcp::{Fuel, Propagator, Stopped, WatchedPropagator};
+use bcp::{ArenaWatchedPropagator, Fuel, Propagator, Stopped};
 use cnf::{Clause, CnfFormula, Lit};
 
 use crate::core_extract::UnsatCore;
@@ -193,20 +196,21 @@ impl WalkProof for ConflictClauseProof {
 /// The proof checker, exposed for callers that want to reuse the arena
 /// across modes or inspect intermediate state.
 ///
-/// Generic over the BCP engine (watched over a header-table `ClauseDb`
-/// by default, or the arena-watched engine via
-/// [`Checker::with_engine`]); every engine produces identical verdicts,
-/// marks, and cores — only the propagation cost differs.
+/// Generic over the BCP engine: the arena engine over a flat
+/// `ClauseArena` by default, or any other via [`Checker::with_engine`]
+/// (the solver's watched engine over a header-table `ClauseDb`, for
+/// comparisons). Both engines produce identical verdicts, marks, cores
+/// and counts — only the propagation cost differs.
 #[derive(Debug)]
-pub struct Checker<'a, P: Propagator = WatchedPropagator> {
+pub struct Checker<'a, P: Propagator = ArenaWatchedPropagator> {
     formula: &'a CnfFormula,
     proof: &'a ConflictClauseProof,
     walk: BackwardWalk<'a, P, ConflictClauseProof>,
 }
 
 impl<'a> Checker<'a> {
-    /// Builds the checker arena with the default watched-literal engine:
-    /// the original clauses first, then the conflict clauses in
+    /// Builds the checker arena with the default arena engine: the
+    /// original clauses first, then the conflict clauses in
     /// chronological order.
     #[must_use]
     pub fn new(formula: &'a CnfFormula, proof: &'a ConflictClauseProof) -> Self {

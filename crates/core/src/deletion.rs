@@ -18,7 +18,7 @@
 //! not the most recent clause with its content, and every addition must
 //! be RUP — there is no RAT fallback.
 
-use bcp::{ClauseRef, Fuel, WatchedPropagator};
+use bcp::{ArenaWatchedPropagator, ClauseRef, Fuel};
 use cnf::{Clause, CnfFormula};
 
 use crate::core_extract::UnsatCore;
@@ -122,7 +122,7 @@ impl AnnotatedProof {
         &self,
         formula: &CnfFormula,
     ) -> Result<AnnotatedVerification, VerifyError> {
-        let mut walk = BackwardWalk::<WatchedPropagator, _>::new(formula, self, false);
+        let mut walk = BackwardWalk::<ArenaWatchedPropagator, _>::new(formula, self, false);
         for event in &self.events {
             match *event {
                 ProofEvent::Add(ref clause) => {

@@ -602,7 +602,7 @@ pub enum DratOutcome {
 }
 
 /// Verifies a DRAT proof backward with unlimited resources on the
-/// default engine.
+/// default engine, the arena.
 ///
 /// # Errors
 ///
@@ -615,7 +615,7 @@ pub fn verify_drat_backward(
         formula,
         proof,
         &Harness::default(),
-        PropagatorChoice::Watched,
+        PropagatorChoice::ArenaWatched,
     ) {
         DratOutcome::Verified(v) => Ok(*v),
         DratOutcome::Rejected { error, .. } => Err(error),

@@ -15,8 +15,9 @@
 //!   "valid" ([`Outcome::Verified`]) or "invalid" ([`Outcome::Rejected`]);
 //! * [`Checkpoint`] — serialized checker progress (marks bitmap, loop
 //!   position, budget spent) so an interrupted run resumes where it
-//!   stopped and finishes with a report equal, modulo timing fields, to
-//!   an uninterrupted run;
+//!   stopped, on either engine, and reaches the uninterrupted run's
+//!   verdict with a core and marked steps that still refute (see
+//!   [`resume_verification`]);
 //! * [`FaultPlan`] — a test-only fault-injection hook (worker panics,
 //!   budget starvation, slow workers) used to prove the parallel checker
 //!   degrades gracefully without ever changing a verdict.
@@ -58,7 +59,7 @@ use crate::proof::ConflictClauseProof;
 /// the same checker with the same caps stop at exactly the same point,
 /// which makes budget exhaustion reproducible and checkpoints meaningful.
 /// The deadline and [`CancelToken`] are wall-clock/external signals,
-/// polled every [`bcp::WatchedPropagator::POLL_INTERVAL`] propagations.
+/// polled every few dozen propagations (see [`bcp::Fuel`]).
 ///
 /// In parallel mode the deterministic caps apply *per worker* (each
 /// worker owns a private engine), while the deadline and cancellation
@@ -612,9 +613,10 @@ pub(crate) fn atomic_write(
 ///
 /// A checkpoint is taken at a *check boundary*: the marks bitmap reflects
 /// only completed checks (an interrupted check leaves no trace and is
-/// redone on resume), so resuming replays the exact remaining schedule of
-/// the uninterrupted run. The formula and proof fingerprints guard
-/// against resuming with mismatched inputs.
+/// redone on resume), so resuming walks on from the step the run
+/// stopped at, on a fresh engine (see [`resume_verification`] for what
+/// that guarantees). The formula and proof fingerprints guard against
+/// resuming with mismatched inputs.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Checkpoint {
     /// The verification procedure the run was using.
@@ -960,16 +962,13 @@ pub fn verify_harnessed(
         proof,
         mode,
         harness,
-        bcp::PropagatorChoice::Watched,
+        bcp::PropagatorChoice::ArenaWatched,
     )
 }
 
-/// [`verify_harnessed`] on an explicitly chosen BCP engine.
-///
-/// Checkpoint caveat: a checkpoint's `spent_propagations` /
-/// `spent_clause_visits` are engine-specific (the engines do different
-/// amounts of work per check), so a run should be resumed on the engine
-/// that produced the checkpoint.
+/// [`verify_harnessed`] on an explicitly chosen BCP engine. Both engines
+/// spend the same fuel on every check, so their checkpoints are equal
+/// and either engine resumes either's.
 #[must_use]
 pub fn verify_harnessed_with_engine(
     formula: &CnfFormula,
@@ -980,19 +979,33 @@ pub fn verify_harnessed_with_engine(
 ) -> Outcome {
     match engine {
         bcp::PropagatorChoice::Watched => {
-            Checker::new(formula, proof).run_harnessed(mode, None, harness, None)
+            Checker::<bcp::WatchedPropagator>::with_engine(formula, proof)
+                .run_harnessed(mode, None, harness, None)
         }
         bcp::PropagatorChoice::ArenaWatched => {
-            Checker::<bcp::ArenaWatchedPropagator>::with_engine(formula, proof)
-                .run_harnessed(mode, None, harness, None)
+            Checker::new(formula, proof).run_harnessed(mode, None, harness, None)
         }
     }
 }
 
-/// Resumes an interrupted verification run from `checkpoint`. The final
-/// report of a resumed run equals the report of an uninterrupted run,
-/// modulo timing and engine-diagnostic fields (see
-/// [`VerificationReport::semantically_eq`](crate::VerificationReport::semantically_eq)).
+/// Resumes an interrupted verification run from `checkpoint`.
+///
+/// The resumed run restarts on a fresh engine, whose watch lists are
+/// not the ones the interrupted run had reached, so its later checks
+/// may find other conflicts than an uninterrupted run finds, and mark
+/// other clauses. What it guarantees:
+///
+/// * the uninterrupted run's verdict: for every proof in the modes that
+///   check every step ([`CheckMode::All`], [`CheckMode::AllForward`]),
+///   rejected step included, and for every proof whose steps are all
+///   implied in [`CheckMode::MarkedOnly`] (where a step that is not
+///   implied may be marked by one run and not by the other);
+/// * a verified run's core and marked steps still refute: the proof
+///   trimmed to the marked steps ([`crate::trim_proof`]) verifies
+///   against the core, every step checked.
+///
+/// The checked count, the core and the propagation counters may
+/// differ from an uninterrupted run's.
 ///
 /// # Errors
 ///
@@ -1010,13 +1023,13 @@ pub fn resume_verification(
         proof,
         checkpoint,
         harness,
-        bcp::PropagatorChoice::Watched,
+        bcp::PropagatorChoice::ArenaWatched,
     )
 }
 
-/// [`resume_verification`] on an explicitly chosen BCP engine. Use the
-/// engine that produced the checkpoint — the spent-fuel counters it
-/// carries are engine-specific.
+/// [`resume_verification`] on an explicitly chosen BCP engine, which
+/// need not be the one that wrote the checkpoint: both engines spend
+/// the same fuel on every check.
 ///
 /// # Errors
 ///
@@ -1032,11 +1045,11 @@ pub fn resume_verification_with_engine(
     let mode = checkpoint.mode;
     Ok(match engine {
         bcp::PropagatorChoice::Watched => {
-            Checker::new(formula, proof).run_harnessed(mode, None, harness, Some(checkpoint))
+            Checker::<bcp::WatchedPropagator>::with_engine(formula, proof)
+                .run_harnessed(mode, None, harness, Some(checkpoint))
         }
         bcp::PropagatorChoice::ArenaWatched => {
-            Checker::<bcp::ArenaWatchedPropagator>::with_engine(formula, proof)
-                .run_harnessed(mode, None, harness, Some(checkpoint))
+            Checker::new(formula, proof).run_harnessed(mode, None, harness, Some(checkpoint))
         }
     })
 }

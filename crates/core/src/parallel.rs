@@ -118,7 +118,7 @@ pub fn verify_all_parallel_harnessed(
     num_threads: usize,
     harness: &Harness,
 ) -> Outcome {
-    parallel_harnessed_generic::<WatchedPropagator>(
+    parallel_harnessed_generic::<ArenaWatchedPropagator>(
         formula,
         proof,
         num_threads,

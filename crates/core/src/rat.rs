@@ -18,7 +18,7 @@
 
 use std::ops::Range;
 
-use bcp::{ClauseRef, ClauseStore, Fuel, Propagator, WatchedPropagator};
+use bcp::{ArenaWatchedPropagator, ClauseRef, ClauseStore, Fuel, Propagator};
 use cnf::{Clause, CnfFormula, Lit};
 
 use crate::error::VerifyError;
@@ -99,7 +99,7 @@ fn check_forward(
     let num_vars = formula
         .num_vars()
         .max(proof.max_var().map_or(0, |v| v.idx() + 1));
-    let mut kernel = Kernel::<WatchedPropagator>::with_occurrences(num_vars);
+    let mut kernel = Kernel::<ArenaWatchedPropagator>::with_occurrences(num_vars);
     for clause in formula.iter() {
         kernel.db.add_clause(clause.lits(), false);
     }

@@ -52,11 +52,12 @@ impl VerificationReport {
     /// engine-diagnostic fields.
     ///
     /// `verify_time` is wall-clock; `propagations` and `clause_visits`
-    /// depend on watch-list history, which differs between a resumed run
-    /// (fresh engine, marks restored) and an uninterrupted one. The
-    /// remaining fields — what was checked and what the core is — are
-    /// the verification *result*, and the checkpoint/resume contract
-    /// guarantees they match.
+    /// depend on watch-list history. The remaining fields — what was
+    /// checked and what the core is — are the verification *result*.
+    /// A resumed run need not match an uninterrupted one here: its fresh
+    /// engine may find other conflicts, and so check and mark other
+    /// clauses (see [`crate::resume_verification`] for what it does
+    /// guarantee).
     #[must_use]
     pub fn semantically_eq(&self, other: &VerificationReport) -> bool {
         self.num_original == other.num_original

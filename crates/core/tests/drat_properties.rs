@@ -6,7 +6,7 @@
 use cnf::CnfFormula;
 use proofver::{
     check_lrat, drat_to_string, encode_drat_to_vec, parse_drat, trim_drat,
-    verify, verify_drat_backward, verify_drat_backward_harnessed,
+    verify, verify_drat_backward, verify_drat_backward_harnessed, write_lrat,
     ConflictClauseProof, DratOutcome, DratProof, DratStep, DratStepKind, Harness,
     PropagatorChoice,
 };
@@ -111,8 +111,10 @@ proptest! {
         check_lrat(&f, &tv.lrat).expect("trimmed LRAT replays");
     }
 
-    /// Watched and arena engines mark the same steps and produce the
-    /// same core on the backward pass.
+    /// The watched engine, named, and the default arena engine mark the
+    /// same steps, produce the same core, spend the same propagations
+    /// and clause visits, and write the same LRAT bytes on the backward
+    /// pass.
     #[test]
     fn engines_agree_on_the_backward_pass(f in formula_strategy(6)) {
         let Some(trace) =
@@ -125,22 +127,30 @@ proptest! {
             return Ok(());
         }
         let drat = DratProof::from(&native);
-        let watched = verify_drat_backward(&f, &drat).expect("watched");
-        let arena = match verify_drat_backward_harnessed(
+        let watched = match verify_drat_backward_harnessed(
             &f,
             &drat,
             &Harness::default(),
-            PropagatorChoice::ArenaWatched,
+            PropagatorChoice::Watched,
         ) {
             DratOutcome::Verified(v) => *v,
             other => {
                 return Err(TestCaseError::fail(format!(
-                    "arena disagrees: {other:?}"
+                    "watched disagrees: {other:?}"
                 )))
             }
         };
+        let arena = verify_drat_backward(&f, &drat).expect("arena");
         prop_assert_eq!(&watched.marked_adds, &arena.marked_adds);
         prop_assert_eq!(watched.core.indices(), arena.core.indices());
+        prop_assert_eq!(watched.propagations, arena.propagations);
+        prop_assert_eq!(watched.clause_visits, arena.clause_visits);
+        let lrat_bytes = |v: &proofver::DratVerification| {
+            let mut bytes = Vec::new();
+            write_lrat(&mut bytes, &v.lrat).expect("writing to memory");
+            bytes
+        };
+        prop_assert_eq!(lrat_bytes(&watched), lrat_bytes(&arena));
         check_lrat(&f, &arena.lrat).expect("arena LRAT replays");
     }
 

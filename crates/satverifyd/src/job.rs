@@ -160,7 +160,7 @@ fn execute_drat(
         &formula,
         &proof,
         harness,
-        PropagatorChoice::Watched,
+        PropagatorChoice::ArenaWatched,
     ) {
         DratOutcome::Verified(v) => {
             result.outcome = "verified".into();
@@ -215,7 +215,7 @@ fn execute_stream(
         Path::new(path),
         harness,
         &config,
-        PropagatorChoice::Watched,
+        PropagatorChoice::ArenaWatched,
         None,
         None,
     ) {

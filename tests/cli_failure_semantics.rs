@@ -99,6 +99,9 @@ fn usage_errors_exit_2() {
     assert_eq!(out.status.code(), Some(2), "--resume needs --checkpoint: {out:?}");
     let out = run(&["check", cnf, cnf, "--max-propagations", "lots"]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
+    // every check runs the one engine: there is nothing to select
+    let out = run(&["check", cnf, cnf, "--engine", "arena"]);
+    assert_eq!(out.status.code(), Some(2), "--engine is gone: {out:?}");
 }
 
 #[test]

@@ -54,8 +54,6 @@ fn binary_drat_with_deletions_verifies() {
         &fixture("xor_binary.drat"),
         "--proof-format",
         "drat",
-        "--engine",
-        "arena",
     ]);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     assert!(String::from_utf8_lossy(&out.stdout).contains("s VERIFIED"));
