@@ -548,7 +548,6 @@ pub struct ArenaWatchedPropagator {
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
     reasons: Vec<Reason>,
-    levels: Vec<u32>,
     qhead: usize,
     num_clause_visits: u64,
 }
@@ -563,7 +562,6 @@ impl ArenaWatchedPropagator {
             trail: Vec::new(),
             trail_lim: Vec::new(),
             reasons: vec![Reason::Decision; num_vars],
-            levels: vec![0; num_vars],
             qhead: 0,
             num_clause_visits: 0,
         }
@@ -677,7 +675,6 @@ impl ArenaWatchedPropagator {
     fn enqueue(&mut self, lit: Lit, reason: Reason) {
         self.assignment.assign(lit);
         self.reasons[lit.var().idx()] = reason;
-        self.levels[lit.var().idx()] = self.decision_level();
         self.trail.push(lit);
     }
 
@@ -792,7 +789,6 @@ impl Propagator for ArenaWatchedPropagator {
             self.assignment.ensure_var(Var::new(num_vars as u32 - 1));
             self.watches.ensure_lits(2 * num_vars);
             self.reasons.resize(num_vars, Reason::Decision);
-            self.levels.resize(num_vars, 0);
         }
     }
 
@@ -814,11 +810,6 @@ impl Propagator for ArenaWatchedPropagator {
     #[inline]
     fn reason(&self, var: Var) -> Reason {
         self.reasons[var.idx()]
-    }
-
-    #[inline]
-    fn level(&self, var: Var) -> u32 {
-        self.levels[var.idx()]
     }
 
     #[inline]

@@ -134,9 +134,11 @@ pub trait ClauseStore: Debug {
 
 /// A trail-based BCP engine the proof checker can drive.
 ///
-/// The engine owns the assignment, trail, and per-variable reason/level
-/// bookkeeping; clauses live in the associated [`ClauseStore`], which the
-/// caller owns and passes into each propagation call.
+/// The engine owns the assignment, the trail with its decision levels,
+/// and each variable's reason (the trait asks for no per-variable level:
+/// no checker reads one); clauses live in the associated
+/// [`ClauseStore`], which the caller owns and passes into each
+/// propagation call.
 pub trait Propagator: Debug {
     /// The clause layout this engine propagates over.
     type Store: ClauseStore;
@@ -163,9 +165,6 @@ pub trait Propagator: Debug {
 
     /// The reason recorded for an assigned variable.
     fn reason(&self, var: Var) -> Reason;
-
-    /// The decision level at which a variable was assigned.
-    fn level(&self, var: Var) -> u32;
 
     /// Number of clauses visited by propagation so far.
     fn num_clause_visits(&self) -> u64;

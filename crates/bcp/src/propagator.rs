@@ -610,10 +610,6 @@ impl crate::engine::Propagator for WatchedPropagator {
         WatchedPropagator::reason(self, var)
     }
 
-    fn level(&self, var: Var) -> u32 {
-        WatchedPropagator::level(self, var)
-    }
-
     fn num_clause_visits(&self) -> u64 {
         WatchedPropagator::num_clause_visits(self)
     }

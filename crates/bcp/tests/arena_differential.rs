@@ -1,6 +1,6 @@
 //! Differential property tests: the arena-watched engine must propagate
 //! exactly as the boxed watched-literal engine does — the same trail in
-//! the same order, the same reason and level for every literal, the
+//! the same order, the same reason for every literal, the
 //! same conflict clause and the same clause-visit count after every
 //! propagation, budgeted or not — and derive the same implications and
 //! conflicts as the counting baseline. The proof checker's goldens rest
@@ -137,8 +137,8 @@ impl Pair {
         Some(pair)
     }
 
-    /// Asserts the same trail, in order, with the same reason and level
-    /// for every literal, and the same clause-visit count.
+    /// Asserts the same trail, in order, with the same reason for every
+    /// literal, and the same clause-visit count.
     fn assert_same_state(&self, context: &str) {
         assert_eq!(self.w.trail(), self.a.trail(), "{context}: trails differ");
         for &l in self.w.trail() {
@@ -147,11 +147,6 @@ impl Pair {
                 self.w.reason(v),
                 Propagator::reason(&self.a, v),
                 "{context}: reason of {l}"
-            );
-            assert_eq!(
-                self.w.level(v),
-                Propagator::level(&self.a, v),
-                "{context}: level of {l}"
             );
         }
         assert_eq!(

@@ -677,7 +677,10 @@ pub fn trim_drat(proof: &DratProof, verification: &DratVerification) -> DratProo
 const NIL: u32 = u32::MAX;
 
 /// The live clauses by content, for resolving DRAT's content-addressed
-/// deletions without allocating or hashing a `Vec` per step.
+/// deletions without allocating or hashing a `Vec` per step. Both DRAT
+/// walks resolve them through it: the in-memory walk as it stores the
+/// proof, and the streamed walk ([`crate::verify_drat_stream`]) as it
+/// replays the proof forward and as it crosses additions backward.
 ///
 /// A clause's key is an order-independent multiset hash of its literal
 /// codes: the wrapping sum of one keyed mix per literal, so permuted
@@ -781,6 +784,28 @@ impl DeletionIndex {
             cur = self.next[i];
         }
         None
+    }
+
+    /// Calls `visit` on each indexed clause whose literals equal `lits`
+    /// as a multiset, most recently inserted first, until it returns
+    /// `false`. `lits_of` gives an indexed clause's literals.
+    pub(crate) fn visit_copies<'s>(
+        &mut self,
+        lits: &[Lit],
+        lits_of: impl Fn(ClauseRef) -> &'s [Lit],
+        mut visit: impl FnMut(ClauseRef) -> bool,
+    ) {
+        let hash = self.hash(lits);
+        self.wanted.clear();
+        let mut cur = self.heads[self.bucket(hash)];
+        while cur != NIL {
+            let i = cur as usize;
+            let r = ClauseRef::from_index(i);
+            if self.hashes[i] == hash && self.same_multiset(lits, lits_of(r)) && !visit(r) {
+                return;
+            }
+            cur = self.next[i];
+        }
     }
 
     /// Whether `candidate` holds the literals of `lits`, each as often.
@@ -1504,6 +1529,26 @@ mod tests {
         let p = proof_of("9 0\n-9 2 0\n-2 0\n0\n");
         let v = verify_drat_backward(&xor_square(), &p).expect("valid");
         assert!(v.stats.num_rat >= 1, "{:?}", v.stats);
+    }
+
+    #[test]
+    fn a_rat_candidate_deleted_between_two_rat_steps_is_found_again() {
+        // (9 ∨ 4) and (9 ∨ ¬3) are RAT on 9, not RUP. The walk checks
+        // (9 ∨ 4) first, while D = (¬9 ∨ 3) is deleted, so it has no
+        // candidate; it then resurrects D, the one candidate of
+        // (9 ∨ ¬3), whose tautological resolvent marks D.
+        let f = CnfFormula::from_dimacs_clauses(&[
+            vec![1, 2],
+            vec![-1, -2],
+            vec![1, -2],
+            vec![-1, 2],
+            vec![-9, 3],
+            vec![3, -4],
+        ]);
+        let p = proof_of("9 -3 0\nd -9 3 0\n9 4 0\n9 0\n-9 2 0\n-9 -2 0\n0\n");
+        let v = verify_drat_backward(&f, &p).expect("valid");
+        assert_eq!((v.stats.num_rat, v.stats.num_resolvent_checks), (2, 1), "{:?}", v.stats);
+        assert!(v.core.indices().contains(&4), "D is in the core");
     }
 
     #[test]

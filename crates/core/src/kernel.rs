@@ -217,6 +217,11 @@ pub(crate) struct Kernel<P: Propagator> {
     /// kernel made by [`Kernel::with_occurrences`]; otherwise they stay
     /// empty until the first RAT check builds them from the store.
     pub(crate) occ: Vec<Vec<ClauseRef>>,
+    /// Whether [`Kernel::attach`] keeps `occ`. The walks that keep them
+    /// never revive a dead clause, so a RAT check drops the dead entries
+    /// it scans; a lazily built list keeps them, because the in-memory
+    /// walk undeletes a clause when it crosses its deletion.
+    keeps_occ: bool,
     cone: Cone,
     // scratch reused across checks
     assumed: Vec<Lit>,
@@ -236,6 +241,7 @@ impl<P: Propagator> Kernel<P> {
             native: false,
             marked: Vec::new(),
             occ: Vec::new(),
+            keeps_occ: false,
             cone: Cone::new(num_vars),
             assumed: Vec::new(),
             candidates: Vec::new(),
@@ -246,6 +252,7 @@ impl<P: Propagator> Kernel<P> {
     pub(crate) fn with_occurrences(num_vars: usize) -> Self {
         Kernel {
             occ: vec![Vec::new(); 2 * num_vars],
+            keeps_occ: true,
             ..Kernel::new(num_vars)
         }
     }
@@ -291,7 +298,7 @@ impl<P: Propagator> Kernel<P> {
                 }
             }
         }
-        if !self.occ.is_empty() {
+        if self.keeps_occ {
             for &l in self.db.lits(r) {
                 self.occ[l.idx()].push(r);
             }
@@ -507,12 +514,13 @@ impl<P: Propagator> Kernel<P> {
         // collect first: the live set does not change during the loop
         let mut candidates = std::mem::take(&mut self.candidates);
         candidates.clear();
-        candidates.extend(
-            self.occ[(!pivot).idx()]
-                .iter()
-                .copied()
-                .filter(|&r| !self.db.is_deleted(r)),
-        );
+        let occ = &mut self.occ[(!pivot).idx()];
+        if self.keeps_occ {
+            occ.retain(|&r| !self.db.is_deleted(r));
+            candidates.extend_from_slice(occ);
+        } else {
+            candidates.extend(occ.iter().copied().filter(|&r| !self.db.is_deleted(r)));
+        }
         let mut assumed = std::mem::take(&mut self.assumed);
         assumed.clear();
         assumed.extend(clause.iter().map(|&l| !l));
@@ -626,6 +634,31 @@ mod tests {
         // one is skipped
         assert!(matches!(kernel.check(&[lit(3), lit(-3)], &mut fuel), Check::Vacuous));
         assert!(matches!(kernel.check(&[lit(2), lit(-3)], &mut fuel), Check::NoConflict));
+    }
+
+    #[test]
+    fn a_rat_check_drops_the_dead_entries_of_kept_lists() {
+        let mut kernel: Kernel<WatchedPropagator> = Kernel::with_occurrences(6);
+        for c in [&[-5, 1][..], &[-5, 2], &[-5, 3], &[1, 2]] {
+            let lits: Vec<Lit> = c.iter().map(|&n| lit(n)).collect();
+            let r = kernel.db.add_clause(&lits, false);
+            kernel.attach(r);
+        }
+        kernel.marked = vec![false; 4];
+        let dead = ClauseRef::from_index(1);
+        kernel.prop.detach_clause(&kernel.db, dead);
+        kernel.db.delete_clause(dead);
+        // (5 ∨ ¬1 ∨ ¬3) is not RUP; its resolvents with the live (¬5 ∨ 1)
+        // and (¬5 ∨ 3) are tautologies
+        let mut stats = DratStats::default();
+        let clause = [lit(5), lit(-1), lit(-3)];
+        let implied = kernel.implied(&clause, true, None, &mut Fuel::unlimited(), &mut stats);
+        assert!(matches!(implied, Implied::Yes));
+        let live = [ClauseRef::from_index(0), ClauseRef::from_index(2)];
+        assert_eq!(kernel.occ[lit(-5).idx()], live, "only live refs, ascending");
+        assert_eq!(kernel.candidates, live);
+        assert_eq!(stats.num_resolvent_checks, 2);
+        assert_eq!(kernel.marked, [true, false, true, false]);
     }
 
     #[test]

@@ -9,11 +9,19 @@
 //! 1. **Pass 1** streams the proof once through a chunked reader,
 //!    building a byte-offset *granule index* (every checkpointable
 //!    cursor is a granule start) and replaying the forward clause
-//!    lifecycle to materialize the live set at the resume cursor.
+//!    lifecycle into the clause store, to materialize the live set at
+//!    the resume cursor. The store is compacted whenever its dead proof
+//!    clauses outweigh the rest of it, so it stays within about twice
+//!    the formula and the live proof clauses.
 //! 2. **Pass 2** walks the proof backward window by window. Only one
 //!    window's steps are parsed at a time; clauses deleted mid-proof are
-//!    resurrected as content-addressed stand-ins when the walk crosses
-//!    their deletion, so residency tracks the *live set*, not the proof.
+//!    resurrected as stand-ins when the walk crosses their deletion, so
+//!    residency tracks the *live set*, not the proof.
+//!
+//! Both passes find a clause by its content through one
+//! [`DeletionIndex`] over the live clauses, the in-memory walk's: a
+//! deletion in pass 1, and an addition crossing in pass 2, take the most
+//! recently added live copy.
 //!
 //! Every window boundary is a durable checkpoint ([`StreamCheckpoint`],
 //! atomic write-rename, input fingerprints, window cursor + marked-core
@@ -26,13 +34,12 @@
 //! never become a `Rejected` verdict.
 //!
 //! Residency is tracked by an explicit model (arena words, occurrence
-//! entries, per-variable engine state, live-set stacks, live unit
+//! entries, per-variable engine state, content-index entries, live unit
 //! clauses, granule index, plus a per-window factor covering the raw
 //! bytes, parsed steps, and stand-ins); the recorded `peak_residency`
 //! is the model's high-water mark. The window index format and
 //! checkpoint compatibility rules are documented in `docs/FORMATS.md`.
 
-use std::collections::HashMap;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -45,7 +52,8 @@ use cnf::{Clause, CnfFormula, Lit};
 
 use crate::core_extract::UnsatCore;
 use crate::drat::{
-    scan_step, DratError, DratProof, DratStep, DratStepKind, ParseDratError, Scan,
+    scan_step, DeletionIndex, DratError, DratProof, DratStep, DratStepKind, ParseDratError,
+    Scan,
 };
 use crate::harness::{
     atomic_write, formula_fingerprint, marks_from_hex, marks_to_hex,
@@ -61,13 +69,14 @@ use crate::rat::DratStats;
 /// Modeled bytes of residency per raw window byte: the window buffer
 /// itself (1×), the parsed step vector (~11× for dense one-byte-varint
 /// steps), and the stand-ins a window's deletions resurrect (arena
-/// words, unit entries, live-set stack entries, occurrence entries —
+/// words, unit entries, content-index entries, occurrence entries —
 /// ~12×). Deliberately conservative.
 const RESIDENCY_WINDOW_FACTOR: u64 = 24;
 
-/// Modeled bytes per live-set stack entry (hash-map slot + `(seq, ref)`
-/// pair + allocation overhead).
-const RESIDENCY_STACK_ENTRY: u64 = 48;
+/// Modeled bytes per clause in the content index. This overstates the
+/// index's real cost, but the degradation ladder's decisions rest on
+/// it: re-pricing it changes when a run rebuilds, shrinks or exhausts.
+const RESIDENCY_INDEX_ENTRY: u64 = 48;
 
 /// Modeled bytes per granule index entry.
 const RESIDENCY_GRANULE: u64 = 24;
@@ -81,6 +90,10 @@ const RESIDENCY_UNIT: u64 = 16;
 
 /// Modeled bytes per occurrence-list entry.
 const RESIDENCY_OCC: u64 = 8;
+
+/// Pass 1 compacts its store only once the dead proof clauses in it
+/// outweigh this many words, so a small proof never pays for it.
+const COMPACT_FLOOR_WORDS: u64 = 1 << 14;
 
 /// Tuning knobs for a streaming verification run.
 #[derive(Clone, Debug)]
@@ -409,8 +422,10 @@ struct ProofIndex {
     total_adds: u64,
     /// Variables needed by the engine (max over formula and proof).
     num_vars: usize,
-    /// Whether the last addition in the file is the empty clause.
-    last_add_empty: bool,
+    /// Whether the replay reached the end of the file and the proof's
+    /// last addition, the store's last clause, is an empty clause still
+    /// live there.
+    trailing_empty: bool,
     /// FNV-1a over the entire proof file.
     proof_hash: u64,
     /// Step/addition counts at the resume cursor.
@@ -418,39 +433,51 @@ struct ProofIndex {
     cursor_add: u64,
 }
 
-/// One live clause in the replayed live set.
-struct LiveEntry {
-    /// Global insertion sequence: formula clause index, or
-    /// `formula_clauses + addition number` for proof additions.
-    seq: u64,
-    /// Restored mark (resume only).
-    marked: bool,
-    lits: Box<[Lit]>,
-}
-
-/// The live set at the resume cursor, as content-addressed LIFO stacks
-/// (deletions match the most recently added live copy, exactly like the
-/// in-memory checker).
-struct Replay {
-    stacks: HashMap<Vec<u32>, Vec<LiveEntry>>,
-    live_count: u64,
-    live_words: u64,
-}
-
-fn content_key(lits: &[Lit]) -> Vec<u32> {
-    let mut key: Vec<u32> = lits.iter().map(|l| l.code()).collect();
-    key.sort_unstable();
-    key
+/// The clauses of `old` a walk still needs, renumbered densely, and a
+/// [`DeletionIndex`] over them: the formula's clauses keep their refs (a
+/// dead one stays, deleted and unindexed, so the refs stay dense), then
+/// the proof clauses `keep` selects follow in ref order, deleted where
+/// they were. Returns the old ref of each proof clause kept.
+fn renumber<S: ClauseStore>(
+    old: &S,
+    num_original: usize,
+    keep: impl Fn(ClauseRef) -> bool,
+) -> (S, DeletionIndex, Vec<ClauseRef>) {
+    let kept: Vec<ClauseRef> = (num_original..old.len())
+        .map(ClauseRef::from_index)
+        .filter(|&r| keep(r))
+        .collect();
+    let mut db = S::new();
+    let mut index = DeletionIndex::with_capacity(num_original + kept.len());
+    for old_ref in (0..num_original).map(ClauseRef::from_index).chain(kept.iter().copied()) {
+        let proof = old_ref.index() >= num_original;
+        let r = db.add_clause(old.lits(old_ref), proof);
+        if old.is_deleted(old_ref) {
+            db.delete_clause(r);
+        }
+        if proof || !old.is_deleted(old_ref) {
+            index.insert(r, old.lits(old_ref));
+        }
+    }
+    (db, index, kept)
 }
 
 /// Runs pass 1: scans the whole file once, building the granule index
 /// over *all* steps and replaying the clause lifecycle of the steps
-/// before `cursor_byte` to materialize the live set there.
+/// before `cursor_byte` into a store with a [`DeletionIndex`] over its
+/// live clauses, as the in-memory walk builds its own: the formula's
+/// clauses take dense refs, an addition is appended, and a deletion
+/// deletes the most recently added live copy of its content. Whenever
+/// the dead proof clauses outweigh both the rest of the store and
+/// [`COMPACT_FLOOR_WORDS`], the store is renumbered without them, so
+/// each compaction costs no more than the garbage it drops. The store
+/// returned holds the formula's clauses, dead ones deleted, then the
+/// live proof clauses in proof order.
 ///
 /// A deletion that matches nothing is a proof defect and rejects, just
 /// as in the in-memory checker's construction phase.
 #[allow(clippy::too_many_arguments)]
-fn scan_and_replay<R: Read + Seek>(
+fn scan_and_replay<R: Read + Seek, S: ClauseStore>(
     reader: &mut ChunkedReader<'_, R>,
     file_len: u64,
     chunk: usize,
@@ -459,26 +486,22 @@ fn scan_and_replay<R: Read + Seek>(
     granule_bytes: u64,
     memory_budget: u64,
     resumed: bool,
-) -> Result<(ProofIndex, Replay), StreamOutcome> {
-    let num_original = formula.num_clauses() as u64;
-    let mut replay = Replay {
-        stacks: HashMap::new(),
-        live_count: 0,
-        live_words: 0,
-    };
-    for (i, clause) in formula.iter().enumerate() {
-        replay
-            .stacks
-            .entry(content_key(clause.lits()))
-            .or_default()
-            .push(LiveEntry {
-                seq: i as u64,
-                marked: false,
-                lits: clause.lits().to_vec().into_boxed_slice(),
-            });
-        replay.live_count += 1;
-        replay.live_words += clause.lits().len() as u64;
+) -> Result<(ProofIndex, S, DeletionIndex), StreamOutcome> {
+    let num_original = formula.num_clauses();
+    let mut db = S::new();
+    let mut live = DeletionIndex::with_capacity(num_original);
+    let mut live_words = 0u64;
+    for clause in formula.iter() {
+        let r = db.add_clause(clause.lits(), false);
+        live.insert(r, clause.lits());
+        live_words += clause.len() as u64;
     }
+    // a clause weighs its literals and a header: the store's weight, and
+    // the part of it that dead proof clauses make up
+    let mut store_words = live_words + num_original as u64;
+    let mut garbage_words = 0u64;
+    // whether the latest addition is live; it is the store's last clause
+    let mut last_add_live = false;
 
     let mut granules: Vec<Granule> = Vec::new();
     let mut step_no = 0u64;
@@ -515,38 +538,39 @@ fn scan_and_replay<R: Read + Seek>(
             num_vars = num_vars.max(l.var().idx() + 1);
         }
         if start < cursor_byte && pending_reject.is_none() {
+            let words = scan.lits.len() as u64;
             match kind {
                 DratStepKind::Add => {
-                    replay
-                        .stacks
-                        .entry(content_key(&scan.lits))
-                        .or_default()
-                        .push(LiveEntry {
-                            seq: num_original + add_no,
-                            marked: false,
-                            lits: scan.lits.clone().into_boxed_slice(),
-                        });
-                    replay.live_count += 1;
-                    replay.live_words += scan.lits.len() as u64;
+                    let r = db.add_clause(&scan.lits, true);
+                    live.insert(r, &scan.lits);
+                    live_words += words;
+                    store_words += words + 1;
+                    last_add_live = true;
                 }
-                DratStepKind::Delete => {
-                    let key = content_key(&scan.lits);
-                    match replay.stacks.get_mut(&key).and_then(Vec::pop) {
-                        Some(entry) => {
-                            replay.live_count -= 1;
-                            replay.live_words -= entry.lits.len() as u64;
+                DratStepKind::Delete => match live.remove(&scan.lits, |r| db.lits(r)) {
+                    Some(r) => {
+                        db.delete_clause(r);
+                        live_words -= words;
+                        if r.index() >= num_original {
+                            garbage_words += words + 1;
                         }
-                        None => {
-                            pending_reject = Some(DratError::DeleteMissing {
-                                position: start as usize,
-                                clause: Clause::new(scan.lits.clone()),
-                            });
-                        }
+                        last_add_live &= r.index() + 1 < db.len();
                     }
-                }
+                    None => {
+                        pending_reject = Some(DratError::DeleteMissing {
+                            position: start as usize,
+                            clause: Clause::new(scan.lits.clone()),
+                        });
+                    }
+                },
             }
-            let modeled = replay.live_words * 4
-                + replay.live_count * RESIDENCY_STACK_ENTRY
+            if garbage_words > COMPACT_FLOOR_WORDS && 2 * garbage_words > store_words {
+                (db, live, _) = renumber(&db, num_original, |r| !db.is_deleted(r));
+                store_words -= garbage_words;
+                garbage_words = 0;
+            }
+            let modeled = live_words * 4
+                + live.len() as u64 * RESIDENCY_INDEX_ENTRY
                 + granules.len() as u64 * RESIDENCY_GRANULE
                 + chunk as u64;
             if modeled > memory_budget {
@@ -585,18 +609,20 @@ fn scan_and_replay<R: Read + Seek>(
             }
         }
     };
+    let (db, live, _) = renumber(&db, num_original, |r| !db.is_deleted(r));
     Ok((
         ProofIndex {
             granules,
             total_steps: step_no,
             total_adds: add_no,
             num_vars,
-            last_add_empty,
+            trailing_empty: cursor_byte == file_len && last_add_empty && last_add_live,
             proof_hash,
             cursor_step,
             cursor_add,
         },
-        replay,
+        db,
+        live,
     ))
 }
 
@@ -975,23 +1001,23 @@ struct WalkState {
 }
 
 /// The resident state of the windowed checker: the kernel's store,
-/// engine, live units and marks, and the content-addressed stacks
-/// pairing backward-walk crossings with the forward lifecycle that pass
-/// 1 replayed.
+/// engine, live units and marks, and the content index over the live
+/// clauses that pairs each addition crossing with the copy the forward
+/// lifecycle left live.
 ///
 /// As in the in-memory walk, the kernel keeps the set of live unit
 /// clauses: a unit joins it when its clause is attached and leaves it
 /// when an addition crossing retires the clause. The residency model
 /// charges `RESIDENCY_UNIT` bytes per live unit. The occurrence lists
 /// are kept up to date as clauses arrive, since the model counts their
-/// entries; a store rebuild drops the dead ones.
+/// entries; a RAT check drops the dead entries it scans, and a store
+/// rebuild drops the rest.
 struct StreamChecker<P: Propagator> {
     kernel: Kernel<P>,
+    /// The live clauses by content, and the trailing empty clause until
+    /// the walk crosses its addition.
+    index: DeletionIndex,
     occ_entries: u64,
-    /// content key → stack of `(global seq, ref)`, most recent last.
-    /// Stand-ins resurrected by the walk use `seq = u64::MAX`.
-    refs: HashMap<Vec<u32>, Vec<(u64, ClauseRef)>>,
-    live_count: u64,
     live_words: u64,
     num_original: usize,
     num_vars: usize,
@@ -999,81 +1025,38 @@ struct StreamChecker<P: Propagator> {
 }
 
 impl<P: Propagator> StreamChecker<P> {
-    /// Builds the resident state from the replayed live set. Formula
-    /// clauses always occupy dense refs `0..formula_clauses` (dead ones
-    /// are added then deleted, never attached); live proof clauses
-    /// follow in ascending global sequence so the layout is
-    /// deterministic regardless of hash-map iteration order.
-    fn build(
-        formula: &CnfFormula,
-        replay: Replay,
-        marked_formula: Option<&[bool]>,
-        num_vars: usize,
-    ) -> Self {
-        let num_original = formula.num_clauses();
-
-        // partition the live set: formula instances keep their index,
-        // proof additions are re-added in ascending sequence
-        let mut formula_live = vec![false; num_original];
-        let mut formula_marked = vec![false; num_original];
-        let mut proof_entries: Vec<(Vec<u32>, LiveEntry)> = Vec::new();
-        for (key, stack) in replay.stacks {
-            for entry in stack {
-                if (entry.seq as usize) < num_original {
-                    formula_live[entry.seq as usize] = true;
-                    formula_marked[entry.seq as usize] |= entry.marked;
-                } else {
-                    proof_entries.push((key.clone(), entry));
-                }
-            }
-        }
-        proof_entries.sort_by_key(|(_, e)| e.seq);
-
+    /// Builds the resident state over the store pass 1 replayed, whose
+    /// formula clauses occupy dense refs `0..num_original` (dead ones
+    /// deleted, never attached) and whose live proof clauses follow in
+    /// proof order, and `index`, its content index. The live clauses
+    /// are attached in ref order.
+    fn build(db: P::Store, index: DeletionIndex, num_original: usize, num_vars: usize) -> Self {
         let mut checker = StreamChecker::<P> {
             kernel: Kernel::with_occurrences(num_vars),
+            index,
             occ_entries: 0,
-            refs: HashMap::new(),
-            live_count: 0,
             live_words: 0,
             num_original,
             num_vars,
             trailing_empty: None,
         };
-        for (i, clause) in formula.iter().enumerate() {
-            let r = checker.kernel.db.add_clause(clause.lits(), false);
-            debug_assert_eq!(r.index(), i);
-            if formula_live[i] {
-                checker.admit(r, content_key(clause.lits()), i as u64);
-            } else {
-                checker.kernel.db.delete_clause(r);
-            }
-            checker.kernel.marked.push(formula_marked[i]);
-        }
-        for (key, entry) in proof_entries {
-            let r = checker.kernel.db.add_clause(&entry.lits, true);
-            checker.admit(r, key, entry.seq);
-            checker.kernel.marked.push(entry.marked);
-        }
-        // per-key stacks must be LIFO in global sequence
-        for stack in checker.refs.values_mut() {
-            stack.sort_by_key(|&(seq, _)| seq);
-        }
-        if let Some(bitmap) = marked_formula {
-            for (i, &m) in bitmap.iter().enumerate().take(num_original) {
-                checker.kernel.marked[i] |= m;
-            }
-        }
+        checker.kernel.marked = vec![false; db.len()];
+        checker.kernel.db = db;
+        checker.attach_live();
         checker
     }
 
-    /// Makes the stored clause `r` live: attaches it, lists its
-    /// occurrences and pushes it on its content stack with sequence
-    /// number `seq`.
-    fn admit(&mut self, r: ClauseRef, key: Vec<u32>, seq: u64) {
-        self.attach(r);
-        self.refs.entry(key).or_default().push((seq, r));
-        self.live_count += 1;
-        self.live_words += self.kernel.db.clause_len(r) as u64;
+    /// Attaches the store's live clauses in ref order and counts the
+    /// words and occurrence entries the residency model charges for.
+    fn attach_live(&mut self) {
+        self.occ_entries = 0;
+        self.live_words = 0;
+        for r in self.kernel.db.refs() {
+            if !self.kernel.db.is_deleted(r) {
+                self.attach(r);
+                self.live_words += self.kernel.db.clause_len(r) as u64;
+            }
+        }
     }
 
     /// Attaches the stored clause `r` and counts its occurrence entries.
@@ -1087,7 +1070,7 @@ impl<P: Propagator> StreamChecker<P> {
         self.kernel.db.arena_len() as u64 * 4
             + self.occ_entries * RESIDENCY_OCC
             + self.num_vars as u64 * RESIDENCY_PER_VAR
-            + self.live_count * RESIDENCY_STACK_ENTRY
+            + self.index.len() as u64 * RESIDENCY_INDEX_ENTRY
             + self.live_words * 4
             + self.kernel.units.len() as u64 * RESIDENCY_UNIT
             + granule_count as u64 * RESIDENCY_GRANULE
@@ -1136,14 +1119,14 @@ impl<P: Propagator> StreamChecker<P> {
                 DratStepKind::Delete => {
                     let r = self.kernel.db.add_clause(&step.lits, true);
                     self.kernel.marked.push(false);
-                    self.admit(r, content_key(&step.lits), u64::MAX);
+                    self.attach(r);
+                    self.index.insert(r, &step.lits);
+                    self.live_words += step.lits.len() as u64;
                 }
                 DratStepKind::Add => {
                     walk.add_no -= 1;
-                    let key = content_key(&step.lits);
-                    let Some((_, r)) =
-                        self.refs.get_mut(&key).and_then(Vec::pop)
-                    else {
+                    let db = &self.kernel.db;
+                    let Some(r) = self.index.remove(&step.lits, |r| db.lits(r)) else {
                         return Err(StreamOutcome::Failed(
                             StreamError::Inconsistent(format!(
                                 "backward walk found no live clause for \
@@ -1153,7 +1136,6 @@ impl<P: Propagator> StreamChecker<P> {
                             )),
                         ));
                     };
-                    self.live_count -= 1;
                     self.live_words -= step.lits.len() as u64;
                     let kernel = &mut self.kernel;
                     if !kernel.db.is_deleted(r) {
@@ -1194,95 +1176,53 @@ impl<P: Propagator> StreamChecker<P> {
 
     /// Rebuilds the clause store from the live set, dropping the arena
     /// garbage and the stale occurrence entries that accumulate as the
-    /// walk retires clauses. Formula clauses keep their dense refs;
-    /// surviving stand-ins are re-added in ref order and every stack is
-    /// remapped.
+    /// walk retires clauses. Formula clauses keep their dense refs; the
+    /// live proof clauses and the pending trailing empty clause are
+    /// renumbered in ref order, and the index is re-created over them.
     fn rebuild(&mut self) {
+        let n = self.num_original;
+        let trailing = self.trailing_empty;
         let old = std::mem::replace(&mut self.kernel, Kernel::with_occurrences(self.num_vars));
-        self.occ_entries = 0;
-
-        for i in 0..self.num_original {
-            let old_ref = ClauseRef::from_index(i);
-            let r = self.kernel.db.add_clause(old.db.lits(old_ref), false);
-            debug_assert_eq!(r.index(), i);
-            if old.db.is_deleted(old_ref) {
-                self.kernel.db.delete_clause(r);
-            } else {
-                self.attach(r);
-            }
-            self.kernel.marked.push(old.marked[i]);
-        }
-
-        // every learned clause the walk still needs is referenced by a
-        // stack (live clauses, plus the deleted-but-stacked trailing
-        // empty); everything else is garbage
-        let mut keep: Vec<ClauseRef> = self
-            .refs
-            .values()
-            .flatten()
-            .map(|&(_, r)| r)
-            .filter(|r| r.index() >= self.num_original)
+        let (db, index, kept) =
+            renumber(&old.db, n, |r| !old.db.is_deleted(r) || Some(r) == trailing);
+        self.kernel.marked = old.marked[..n]
+            .iter()
+            .copied()
+            .chain(kept.iter().map(|r| old.marked[r.index()]))
             .collect();
-        keep.sort_by_key(|r| r.index());
-        let mut remap: HashMap<u32, ClauseRef> = HashMap::new();
-        for old_ref in keep {
-            let r = self.kernel.db.add_clause(old.db.lits(old_ref), true);
-            if old.db.is_deleted(old_ref) {
-                self.kernel.db.delete_clause(r);
-            } else {
-                self.attach(r);
-            }
-            self.kernel.marked.push(old.marked[old_ref.index()]);
-            remap.insert(old_ref.index() as u32, r);
-        }
-        let num_original = self.num_original;
-        let map = |r: ClauseRef| {
-            if r.index() < num_original {
-                r
-            } else {
-                remap[&(r.index() as u32)]
-            }
-        };
-        for stack in self.refs.values_mut() {
-            for entry in stack.iter_mut() {
-                entry.1 = map(entry.1);
-            }
-        }
-        self.trailing_empty = self.trailing_empty.map(map);
+        self.kernel.db = db;
+        self.index = index;
+        self.trailing_empty =
+            trailing.map(|t| ClauseRef::from_index(n + kept.partition_point(|&r| r < t)));
+        self.attach_live();
     }
 
     /// Extracts the checkpointable mark state: the formula bitmap plus
     /// the contents of every marked live proof clause (sorted for
-    /// determinism). The deleted-but-stacked trailing empty is excluded
-    /// — its mark is irrelevant to resumption (its crossing is skipped).
+    /// determinism). The deleted trailing empty clause is excluded — its
+    /// mark is irrelevant to resumption (its crossing is skipped).
     fn collect_marked_live(&self) -> (Vec<bool>, Vec<Vec<i32>>) {
-        let marked_formula = self.kernel.marked[..self.num_original].to_vec();
-        let mut marked_live: Vec<Vec<i32>> = Vec::new();
-        for stack in self.refs.values() {
-            for &(_, r) in stack {
-                if r.index() >= self.num_original
-                    && self.kernel.marked[r.index()]
-                    && !self.kernel.db.is_deleted(r)
-                {
-                    marked_live.push(
-                        self.kernel.db.lits(r).iter().map(|l| l.to_dimacs()).collect(),
-                    );
-                }
-            }
-        }
+        let db = &self.kernel.db;
+        let marked = &self.kernel.marked;
+        let mut marked_live: Vec<Vec<i32>> = (self.num_original..db.len())
+            .map(ClauseRef::from_index)
+            .filter(|&r| marked[r.index()] && !db.is_deleted(r))
+            .map(|r| db.lits(r).iter().map(|l| l.to_dimacs()).collect())
+            .collect();
         marked_live.sort();
-        (marked_formula, marked_live)
+        (marked[..self.num_original].to_vec(), marked_live)
     }
 
-    /// After the walk reaches byte 0 the live set must equal the
-    /// formula again; transfers stand-in marks onto formula instances
-    /// of the same content and returns the core indices.
+    /// After the walk reaches byte 0 the live clauses — the formula's
+    /// that survived and the stand-ins the walk resurrected — must make
+    /// up the formula again, as a multiset. Each marked stand-in then
+    /// marks the lowest-index unmarked formula clause with its content.
+    /// Returns the core indices.
     fn finalize(&mut self) -> Result<Vec<usize>, StreamOutcome> {
-        let mut by_key: HashMap<Vec<u32>, Vec<usize>> = HashMap::new();
-        for i in 0..self.num_original {
-            let key = content_key(self.kernel.db.lits(ClauseRef::from_index(i)));
-            by_key.entry(key).or_default().push(i);
-        }
+        let n = self.num_original;
+        let db = &self.kernel.db;
+        let marked = &mut self.kernel.marked;
+        let formula = |i: usize| db.lits(ClauseRef::from_index(i));
         let diverged = || {
             StreamOutcome::Failed(StreamError::Inconsistent(
                 "live set after the full backward walk does not equal the \
@@ -1290,42 +1230,26 @@ impl<P: Propagator> StreamChecker<P> {
                     .into(),
             ))
         };
-        for (key, instances) in &by_key {
-            let stack_len =
-                self.refs.get(key).map_or(0, |stack| stack.len());
-            if stack_len != instances.len() {
+        for i in 0..n {
+            if self.index.remove(formula(i), |r| db.lits(r)).is_none() {
                 return Err(diverged());
             }
         }
-        for (key, stack) in &self.refs {
-            let Some(instances) = by_key.get(key) else {
-                if stack.is_empty() {
-                    continue;
-                }
-                return Err(diverged());
-            };
-            let needed = stack
-                .iter()
-                .filter(|&&(_, r)| self.kernel.marked[r.index()])
-                .count();
-            let already = instances
-                .iter()
-                .filter(|&&i| self.kernel.marked[i])
-                .count();
-            if needed > already {
-                let mut extra = needed - already;
-                for &i in instances {
-                    if extra == 0 {
-                        break;
-                    }
-                    if !self.kernel.marked[i] {
-                        self.kernel.marked[i] = true;
-                        extra -= 1;
-                    }
-                }
+        if !self.index.is_empty() {
+            return Err(diverged());
+        }
+        let mut marked_stand_ins = DeletionIndex::with_capacity(db.len() - n);
+        for r in (n..db.len()).map(ClauseRef::from_index) {
+            if marked[r.index()] && !db.is_deleted(r) {
+                marked_stand_ins.insert(r, db.lits(r));
             }
         }
-        Ok((0..self.num_original).filter(|&i| self.kernel.marked[i]).collect())
+        for (i, mark) in marked[..n].iter_mut().enumerate() {
+            if !*mark && marked_stand_ins.remove(formula(i), |r| db.lits(r)).is_some() {
+                *mark = true;
+            }
+        }
+        Ok((0..n).filter(|&i| marked[i]).collect())
     }
 }
 
@@ -1423,7 +1347,7 @@ fn run_stream<R: Read + Seek, P: Propagator>(
     let cursor_start = resume.map_or(file_len, |c| c.cursor_byte);
 
     // Pass 1: index the whole file, replay the live set to the cursor.
-    let (index, mut replay) = match scan_and_replay(
+    let (index, db, live) = match scan_and_replay::<R, P::Store>(
         &mut reader,
         file_len,
         chunk_bytes,
@@ -1433,7 +1357,7 @@ fn run_stream<R: Read + Seek, P: Propagator>(
         budget,
         resume.is_some(),
     ) {
-        Ok(pair) => pair,
+        Ok(replayed) => replayed,
         Err(outcome) => return outcome,
     };
     emit(
@@ -1480,33 +1404,29 @@ fn run_stream<R: Read + Seek, P: Propagator>(
         }
     };
 
-    // Restore marks onto the replayed live set (every instance of the
+    let mut checker =
+        StreamChecker::<P>::build(db, live, formula.num_clauses(), index.num_vars);
+
+    // Restore marks onto the replayed live set (every live copy of the
     // content — conservative, so a resumed run can only check more).
     if let Some(cp) = resume {
-        for lits in &cp.marked_live {
-            let key = {
-                let mut key: Vec<u32> = lits
-                    .iter()
-                    .map(|&l| Lit::from_dimacs(l).code())
-                    .collect();
-                key.sort_unstable();
-                key
-            };
-            let Some(stack) = replay.stacks.get_mut(&key) else {
+        let kernel = &mut checker.kernel;
+        for (mark, &restored) in kernel.marked.iter_mut().zip(&cp.marked_formula) {
+            *mark |= restored;
+        }
+        for dimacs in &cp.marked_live {
+            let lits: Vec<Lit> = dimacs.iter().map(|&l| Lit::from_dimacs(l)).collect();
+            let mut found = false;
+            checker.index.visit_copies(&lits, |r| kernel.db.lits(r), |r| {
+                kernel.marked[r.index()] = true;
+                found = true;
+                true
+            });
+            if !found {
                 return mismatch("marked live clause");
-            };
-            for entry in stack.iter_mut() {
-                entry.marked = true;
             }
         }
     }
-
-    let mut checker = StreamChecker::<P>::build(
-        formula,
-        replay,
-        resume.map(|c| c.marked_formula.as_slice()),
-        index.num_vars,
-    );
 
     let spent = resume.map_or((0, 0), |c| (c.spent_propagations, c.spent_clause_visits));
     let mut fuel = harness.fuel(start, spent);
@@ -1519,18 +1439,10 @@ fn run_stream<R: Read + Seek, P: Propagator>(
 
     // A trailing live empty clause is the claim being established — it
     // must not witness its own check (the terminal check is its check).
-    if cursor_start == file_len && index.last_add_empty {
-        let num_original = checker.num_original as u64;
-        let trailing = checker
-            .refs
-            .get(&Vec::new())
-            .and_then(|stack| stack.last())
-            .filter(|&&(seq, _)| seq == num_original + index.total_adds - 1)
-            .map(|&(_, r)| r);
-        if let Some(r) = trailing {
-            checker.kernel.db.delete_clause(r);
-            checker.trailing_empty = Some(r);
-        }
+    if index.trailing_empty {
+        let r = ClauseRef::from_index(checker.kernel.db.len() - 1);
+        checker.kernel.db.delete_clause(r);
+        checker.trailing_empty = Some(r);
     }
 
     // Terminal check: only a fresh run performs it — the existence of a

@@ -14,14 +14,20 @@
 //! and a reducing solver configuration, the streaming chain workload,
 //! and small hand-written annotated proofs, on both propagation engines
 //! wherever the entry point takes one.
+//!
+//! Beside the recorded lines, every DRAT case checks that the streamed
+//! walk in one window is the in-memory DRAT walk: the same core, checked
+//! count, RUP/RAT counters, propagations and clause visits. The two
+//! walks resolve deletions through the same content index, and merging
+//! them rests on this agreement.
 
 use satverify::bcp::{ArenaWatchedPropagator, Propagator, WatchedPropagator};
 use satverify::cdcl::{solve, ProofTrace, SolverConfig};
 use satverify::cnf::{Clause, CnfFormula, Lit};
 use satverify::proofver::{
-    self, AnnotatedProof, CheckMode, Checker, ConflictClauseProof, DratProof, DratStep,
-    DratStepKind, Harness, Outcome, ProofClauseRef, ProofEvent, PropagatorChoice, StreamConfig,
-    StreamOutcome, Verification, VerifyError,
+    self, AnnotatedProof, CheckMode, Checker, ConflictClauseProof, DratOutcome, DratProof,
+    DratStep, DratStepKind, Harness, Outcome, ProofClauseRef, ProofEvent, PropagatorChoice,
+    StreamConfig, StreamOutcome, Verification, VerifyError,
 };
 
 fn fnv(bytes: impl IntoIterator<Item = u8>) -> u64 {
@@ -367,13 +373,57 @@ fn solver_cases(name: &str) -> Vec<Case> {
     .collect()
 }
 
+/// Asserts that the streamed walk over `drat` in one window at the
+/// default budget reports what the in-memory DRAT walk does, on both
+/// engines.
+fn assert_one_window_is_the_in_memory_walk(name: &str, formula: &CnfFormula, drat: &DratProof) {
+    let bytes = proofver::encode_drat_to_vec(drat);
+    let harness = Harness::default();
+    for (engine, tag) in ENGINES {
+        let DratOutcome::Verified(in_memory) =
+            proofver::verify_drat_backward_harnessed(formula, drat, &harness, engine)
+        else {
+            panic!("{name} {tag}: the in-memory walk did not verify");
+        };
+        let config = StreamConfig::default();
+        let StreamOutcome::Verified(streamed) =
+            proofver::verify_drat_stream_bytes(formula, &bytes, &harness, &config, engine, None, None)
+        else {
+            panic!("{name} {tag}: the streamed walk did not verify");
+        };
+        assert_eq!(streamed.windows, 1, "{name} {tag}");
+        let report = |core: &[usize], checked, stats, props, visits| {
+            format!("core {core:?} checked {checked} {stats:?} props {props} visits {visits}")
+        };
+        assert_eq!(
+            report(
+                streamed.core.indices(),
+                streamed.num_checked,
+                streamed.stats,
+                streamed.propagations,
+                streamed.clause_visits,
+            ),
+            report(
+                in_memory.core.indices(),
+                in_memory.num_checked,
+                in_memory.stats,
+                in_memory.propagations,
+                in_memory.clause_visits,
+            ),
+            "{name} {tag}: the streamed and in-memory walks differ"
+        );
+    }
+}
+
 /// Compares every line of every case with its recorded line; a case
 /// with no recorded line fails the test and prints the computed lines,
-/// ready to paste into [`EXPECTED`].
+/// ready to paste into [`EXPECTED`]. Then checks each case's streamed
+/// walk against its in-memory DRAT walk.
 fn check(cases: &[Case]) {
     let mut missing = String::new();
     let mut wrong = String::new();
     for case in cases {
+        assert_one_window_is_the_in_memory_walk(&case.name, &case.formula, &case.drat);
         for (key, got) in case.lines() {
             match EXPECTED.iter().find(|(k, _)| *k == key) {
                 Some((_, want)) if got == *want => {}
@@ -421,6 +471,32 @@ fn chain_workload_walks_are_unchanged() {
 
 fn add(lits: &[i32]) -> ProofEvent {
     ProofEvent::Add(Clause::from_dimacs(lits))
+}
+
+/// DRAT proofs over the XOR square plus a second copy of (1 ∨ 2),
+/// written (2 ∨ 1), at index 4. A deletion takes the most recent live
+/// copy in either literal order: the newer copy goes before any use, or
+/// after the unit (2) is derived, and two deletions remove both copies,
+/// which the walk then resurrects as stand-ins whose marks move onto the
+/// formula's copies.
+#[test]
+fn one_window_is_the_in_memory_walk_on_equal_formula_clauses() {
+    let formula = CnfFormula::from_dimacs_clauses(&[
+        vec![1, 2],
+        vec![-1, -2],
+        vec![1, -2],
+        vec![-1, 2],
+        vec![2, 1],
+    ]);
+    let proofs = [
+        ("newer copy deleted", "d 2 1 0\n2 0\n-2 0\n0\n"),
+        ("newer copy deleted after use", "2 0\nd 1 2 0\n-2 0\n0\n"),
+        ("both copies deleted", "2 0\nd 1 2 0\nd 1 2 0\n-2 0\n0\n"),
+    ];
+    for (name, text) in proofs {
+        let drat = proofver::parse_drat_text(text.as_bytes()).expect("parse");
+        assert_one_window_is_the_in_memory_walk(name, &formula, &drat);
+    }
 }
 
 /// Hand-written annotated proofs: a deletion of the older of two equal
